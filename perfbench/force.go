@@ -28,7 +28,7 @@ const (
 	forceRegular  = 1500 // PRESCHED iterations per sweep
 	forceIrreg    = 160  // SELFSCHED iterations per sweep
 	forceIrregSum = 4000 // total inner iterations of the SELFSCHED loop per sweep
-	forceSetups   = 15
+	forceSetups   = 25
 )
 
 // forceProgram is one generated input: the program text, the SELFSCHED
@@ -152,13 +152,13 @@ func runForce(p *pass) error {
 	arg := core.Ints(in.costs)
 	out := &syncBuf{}
 	var reg *obs.Registry
-	if p.tr != nil {
+	if p.reg != nil {
 		reg = obs.New()
 		reg.Enable(obs.Metrics)
 	}
 	var vm *core.VM
 	var prog *pfi.Program
-	var boots, compiles hist
+	boots, compiles := p.timer("bench.core.vm_boot"), p.timer("bench.pfi.compile")
 	for i := 0; i < forceSetups; i++ {
 		t0 := time.Now()
 		var err error
@@ -181,12 +181,12 @@ func runForce(p *pass) error {
 			return fmt.Errorf("warm-up run: %w", err)
 		}
 		p.setups = append(p.setups, t3.Sub(t0))
-		boots.add(t1.Sub(t0))
-		compiles.add(t2.Sub(t1))
-		id := p.tr.add("force.setup", 0, t0, t3)
-		p.tr.add("core.NewVM", id, t0, t1)
-		p.tr.add("pfi.Compile", id, t1, t2)
-		p.tr.add("pfi.Program.Run", id, t2, t3)
+		boots.ObserveDuration(t1.Sub(t0))
+		compiles.ObserveDuration(t2.Sub(t1))
+		p.reg.SpanAt("force", "setup", t0, t3)
+		p.reg.SpanAt("force setup", "core.NewVM", t0, t1)
+		p.reg.SpanAt("force setup", "pfi.CompileUncached", t1, t2)
+		p.reg.SpanAt("force setup", "pfi.Program.Run", t2, t3)
 		if i < forceSetups-1 {
 			vm.Shutdown()
 		}
@@ -212,7 +212,7 @@ func runForce(p *pass) error {
 			continue
 		}
 		solves = append(solves, float64(t1.Sub(t0)))
-		p.tr.add("pfi.Program.Run", 0, t0, t1)
+		p.reg.SpanAt("force", "pfi.Program.Run", t0, t1)
 	}
 	elapsed := time.Since(start)
 	p.memPeak = mem.finish()
@@ -226,7 +226,7 @@ func runForce(p *pass) error {
 	p.note("solve_s", p50/1e9, "s")
 	p.note("solve_p99_s", p99/1e9, "s")
 	p.note("solves", float64(len(solves)), "count")
-	if p.tr == nil {
+	if p.reg == nil {
 		return nil
 	}
 	d := diffSnap(reg.Snapshot(), before)
@@ -242,19 +242,17 @@ func runForce(p *pass) error {
 			return err
 		}
 		t1 := time.Now()
-		compiles.add(t1.Sub(t0))
-		p.tr.add("pfi.Compile", 0, t0, t1)
+		compiles.ObserveDuration(t1.Sub(t0))
+		p.reg.SpanAt("force", "pfi.CompileUncached", t0, t1)
 		b, err := bootForce(nil, out)
 		if err != nil {
 			return err
 		}
 		t2 := time.Now()
 		b.Shutdown()
-		boots.add(t2.Sub(t1))
-		p.tr.add("core.NewVM", 0, t1, t2)
+		boots.ObserveDuration(t2.Sub(t1))
+		p.reg.SpanAt("force", "core.NewVM", t1, t2)
 	}
-	p.layer("pfi.compile_us.p50", compiles.q(0.5)/1e3)
-	p.layer("pfi.compile_us.p99", compiles.q(0.99)/1e3)
-	p.layer("core.vm_boot_us.p50", boots.q(0.5)/1e3)
+	timerLayers(p)
 	return nil
 }

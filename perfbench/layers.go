@@ -92,6 +92,15 @@ func vmLayers(p *pass, d *obs.Snapshot) {
 	p.layer("memory.msg_bytes.p50", q("core.heap.msg.bytes", 0.5))
 }
 
+// timerLayers fills the compile and boot metrics from the benchmark's own
+// timings of pfi.CompileUncached and core.NewVM.
+func timerLayers(p *pass) {
+	s := p.reg.Snapshot()
+	p.layer("pfi.compile_us.p50", snapHist(s, "bench.pfi.compile").Quantile(0.5)/1e3)
+	p.layer("pfi.compile_us.p99", snapHist(s, "bench.pfi.compile").Quantile(0.99)/1e3)
+	p.layer("core.vm_boot_us.p50", snapHist(s, "bench.core.vm_boot").Quantile(0.5)/1e3)
+}
+
 func finite(v float64) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0

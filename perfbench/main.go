@@ -12,9 +12,9 @@
 // workload runs twice, clean for the first half of --seconds and traced for
 // the second, and the metrics are the per-layer set plus the tracing overhead
 // of every end-to-end metric (traced value / clean value).  Every line before
-// the JSON is a human-readable report: the run shape, each metric under the
-// name the workload defines it by, and (traced) the span self-time table.
-// A full report and the traced run's spans are written under .bench_out/.
+// the JSON is a human-readable report: the run shape and each metric under
+// the name the workload defines it by.  A full report and the traced run's
+// spans are written under .bench_out/.
 package main
 
 import (
@@ -27,13 +27,18 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // pass is one measured execution of a workload: clean or traced.
 type pass struct {
 	seed int64
 	dur  time.Duration // timed-phase budget
-	tr   *tracer       // nil on a clean pass
+	// reg is the benchmark's own registry, nil on a clean pass.  On the
+	// traced pass it keeps a span per timed call into a layer and a
+	// histogram per timed call kind (names under "bench.").
+	reg *obs.Registry
 
 	attempted, failed int64
 	setups            []time.Duration // one per set-up repetition
@@ -55,6 +60,15 @@ func (p *pass) note(name string, value float64, unit string) {
 }
 
 func (p *pass) layer(name string, value float64) { p.layers[name] = finite(value) }
+
+// timer returns the benchmark histogram for one kind of timed call; nil,
+// whose observations are no-ops, on a clean pass.
+func (p *pass) timer(name string) *obs.Histogram {
+	if p.reg == nil {
+		return nil
+	}
+	return p.reg.Histogram(name, "ns")
+}
 
 // fail counts one failed operation and reports why on standard error.
 func (p *pass) fail(format string, args ...any) {
@@ -117,7 +131,7 @@ func main() {
 	if b, err := json.Marshal(shape); err == nil {
 		fmt.Printf("# shape %s\n", b)
 	}
-	res, report, tr, err := measure(run, *seed, time.Duration(*seconds)*time.Second, *traced == 1)
+	res, report, reg, err := measure(run, *seed, time.Duration(*seconds)*time.Second, *traced == 1)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perfbench: %s: %v\n", *workload, err)
 		os.Exit(1)
@@ -128,8 +142,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 		os.Exit(1)
 	}
-	if tr != nil {
-		if err := tr.writeChrome(filepath.Join(outDir, fmt.Sprintf("%s-seed%d.trace.json", *workload, *seed))); err != nil {
+	if reg != nil {
+		if err := writeTrace(filepath.Join(outDir, fmt.Sprintf("%s-seed%d.trace.json", *workload, *seed)), reg); err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -144,9 +158,9 @@ func main() {
 
 // measure runs the clean pass, and for a traced run the traced pass after
 // it, and assembles the result line.
-func measure(run func(*pass) error, seed int64, dur time.Duration, traced bool) (result, map[string]any, *tracer, error) {
+func measure(run func(*pass) error, seed int64, dur time.Duration, traced bool) (result, map[string]any, *obs.Registry, error) {
 	report := map[string]any{}
-	var tr *tracer
+	var reg *obs.Registry
 	cleanDur := dur
 	if traced {
 		cleanDur = dur / 2
@@ -167,8 +181,9 @@ func measure(run func(*pass) error, seed int64, dur time.Duration, traced bool) 
 			res.Metrics[m.name] = metric{clean.e2e[m.name], m.unit}
 		}
 	} else {
-		tr = newTracer()
-		tp, err := execute(run, seed, dur-cleanDur, tr)
+		reg = obs.New()
+		reg.Enable(obs.Metrics | obs.Spans)
+		tp, err := execute(run, seed, dur-cleanDur, reg)
 		if err != nil {
 			return result{}, nil, nil, err
 		}
@@ -189,19 +204,18 @@ func measure(run func(*pass) error, seed int64, dur time.Duration, traced bool) 
 		for _, m := range layerMetrics {
 			fmt.Printf("layer %-34s %14.6g %s\n", m.name, res.Metrics[m.name].Value, m.unit)
 		}
-		for _, row := range tr.selfTimes() {
-			fmt.Printf("span  %-34s n=%-8d self_p50=%.3fus total_self=%.3fms\n", row.name, row.n, row.selfP50/1e3, row.selfTotal/1e6)
-		}
+		spans, dropped := reg.Spans()
+		fmt.Printf("# spans: %d kept, %d dropped\n", len(spans), dropped)
 	}
 	res.Correct = res.Failed == 0
 	fmt.Printf("# all passes: attempted=%d failed=%d\n", res.Attempted, res.Failed)
-	return res, report, tr, nil
+	return res, report, reg, nil
 }
 
 // execute runs one pass of the workload and fills in the metrics common to
 // every workload.
-func execute(run func(*pass) error, seed int64, dur time.Duration, tr *tracer) (*pass, error) {
-	p := &pass{seed: seed, dur: dur, tr: tr, e2e: map[string]float64{}, layers: map[string]float64{}}
+func execute(run func(*pass) error, seed int64, dur time.Duration, reg *obs.Registry) (*pass, error) {
+	p := &pass{seed: seed, dur: dur, reg: reg, e2e: map[string]float64{}, layers: map[string]float64{}}
 	if err := run(p); err != nil {
 		return nil, err
 	}
@@ -270,6 +284,23 @@ func cpuModel() string {
 		}
 	}
 	return "unknown"
+}
+
+// writeTrace writes the traced pass's spans as a Chrome trace-event file,
+// viewable in chrome://tracing or Perfetto.
+func writeTrace(path string, reg *obs.Registry) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := reg.WriteChromeTrace(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func writeJSON(path string, v any) error {

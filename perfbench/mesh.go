@@ -27,19 +27,22 @@ import (
 // every window except its last, so no request is ever left unanswered; the
 // accept delays below only turn a lost message into a counted failure.
 const (
-	meshWire    = 2      // producers on node 1
-	meshLocal   = 1      // producers on node 0's second cluster
-	fanWindow   = 128    // datums per flush/credit round trip
-	pingRound   = 2000   // round trips per phase-A round
-	fanRound    = 150000 // datums per phase-B round (all producers)
-	meshSetups  = 5
-	lostMessage = 20 * time.Second
+	meshWire   = 2      // producers on node 1
+	meshLocal  = 1      // producers on node 0's second cluster
+	fanWindow  = 128    // datums per flush/credit round trip
+	pingRound  = 2000   // round trips per phase-A round
+	fanRound   = 150000 // datums per phase-B round (all producers)
+	meshSetups = 15
+	// Each set-up repetition starts a mesh, initiates its tasks and checks
+	// both routes with a short warm-up of this many pings and datums.
+	meshWarmPings = 200
+	meshWarmFan   = 9000
+	lostMessage   = 20 * time.Second
 )
 
 type pingReport struct {
 	rtts []time.Duration
 	bad  int
-	send hist
 	err  error
 }
 
@@ -54,10 +57,10 @@ type fanReport struct {
 // registration runs on both nodes; which task runs where is decided by the
 // initiate placements.
 type meshTasks struct {
-	tr    *tracer
+	reg   *obs.Registry  // the benchmark's registry, nil on a clean pass
+	send  *obs.Histogram // producers' Task.Send times, nil on a clean pass
 	pings chan pingReport
 	fans  chan fanReport
-	sends chan hist // one per producer per round, traced pass only
 }
 
 var control = []core.TypeCount{{Type: "go"}, {Type: "stop"}}
@@ -92,20 +95,14 @@ func (mt *meshTasks) register(vm *core.VM) {
 				v := base + int64(i)
 				t0 := time.Now()
 				rep.err = t.Send(echo, "ping", core.Int(v))
-				if mt.tr != nil {
-					t1 := time.Now()
-					rep.send.add(t1.Sub(t0))
-					if i%64 == 0 {
-						mt.tr.add("core.Task.Send", 0, t0, t1)
-					}
-				}
 				if rep.err != nil {
 					break
 				}
 				t1 := time.Now()
 				res, err := t.Accept(core.AcceptSpec{Total: 1, Types: []core.TypeCount{{Type: "pong"}}, Delay: lostMessage})
-				if mt.tr != nil && i%64 == 0 {
-					mt.tr.add("core.Task.Accept", 0, t1, time.Now())
+				if mt.reg != nil && i%64 == 0 {
+					mt.reg.SpanAt("pinger", "core.Task.Send", t0, t1)
+					mt.reg.SpanAt("pinger", "core.Task.Accept", t1, time.Now())
 				}
 				switch {
 				case err != nil:
@@ -172,7 +169,6 @@ func (mt *meshTasks) register(vm *core.VM) {
 		payload := make([]float64, 8)
 		for m := awaitGo(t); m != nil; m = awaitGo(t) {
 			to, count, key := core.MustID(m.Arg(0)), int(core.MustInt(m.Arg(1))), uint64(core.MustInt(m.Arg(2)))
-			var send hist
 			err := func() error {
 				for sent := 0; sent < count; {
 					n := min(fanWindow, count-sent)
@@ -182,11 +178,11 @@ func (mt *meshTasks) register(vm *core.VM) {
 						if err := t.Send(to, "datum", core.Int(v), core.Reals(payload)); err != nil {
 							return err
 						}
-						if mt.tr != nil {
+						if mt.send != nil {
 							t1 := time.Now()
-							send.add(t1.Sub(t0))
+							mt.send.ObserveDuration(t1.Sub(t0))
 							if i%256 == 0 {
-								mt.tr.add("core.Task.Send", 0, t0, t1)
+								mt.reg.SpanAt("producer", "core.Task.Send", t0, t1)
 							}
 						}
 					}
@@ -211,9 +207,6 @@ func (mt *meshTasks) register(vm *core.VM) {
 			if err != nil {
 				// The collector stalls and reports the shortfall; say why.
 				fmt.Printf("# producer %s: %v\n", t.ID(), err)
-			}
-			if mt.sends != nil {
-				mt.sends <- send
 			}
 		}
 	})
@@ -271,7 +264,7 @@ func startMesh(mt *meshTasks, traced bool) (*meshRun, error) {
 				Register: mt.register, AcceptTimeout: lostMessage,
 				ConnectTimeout: 20 * time.Second, Metrics: m.regs[i],
 			})
-			mt.tr.add("node.Start", 0, t0, time.Now())
+			mt.reg.SpanAt("mesh", "node.Start", t0, time.Now())
 		}(i)
 	}
 	wg.Wait()
@@ -340,7 +333,7 @@ func (m *meshRun) pingRoundTrip(mt *meshTasks, n int, base int64) pingReport {
 
 // fanIn runs one phase-B round of total datums and checks the collector's
 // count and checksums against the generated streams.
-func (m *meshRun) fanIn(mt *meshTasks, total int, key uint64, send *hist) (time.Duration, error) {
+func (m *meshRun) fanIn(mt *meshTasks, total int, key uint64) (time.Duration, error) {
 	producers := len(m.producers)
 	per := total / producers
 	var wantV int64
@@ -365,12 +358,6 @@ func (m *meshRun) fanIn(mt *meshTasks, total int, key uint64, send *hist) (time.
 	}
 	rep := <-mt.fans
 	elapsed := time.Since(t0)
-	if mt.sends != nil {
-		for range m.producers {
-			h := <-mt.sends
-			send.merge(&h)
-		}
-	}
 	if rep.err != nil {
 		return elapsed, rep.err
 	}
@@ -382,21 +369,18 @@ func (m *meshRun) fanIn(mt *meshTasks, total int, key uint64, send *hist) (time.
 }
 
 func runMesh(p *pass) error {
-	mt := &meshTasks{tr: p.tr, pings: make(chan pingReport, 1), fans: make(chan fanReport, 1)}
-	if p.tr != nil {
-		mt.sends = make(chan hist, meshWire+meshLocal)
-	}
+	mt := &meshTasks{reg: p.reg, send: p.timer("bench.core.send"), pings: make(chan pingReport, 1), fans: make(chan fanReport, 1)}
 	key := splitmix64(uint64(p.seed))
 	var m *meshRun
 	for i := 0; i < meshSetups; i++ {
 		t0 := time.Now()
 		var err error
-		m, err = startMesh(mt, p.tr != nil)
+		m, err = startMesh(mt, p.reg != nil)
 		if err == nil {
-			if rep := m.pingRoundTrip(mt, 500, 0); rep.err != nil {
+			if rep := m.pingRoundTrip(mt, meshWarmPings, 0); rep.err != nil {
 				err = rep.err
 			} else {
-				_, err = m.fanIn(mt, 30000, key, &hist{})
+				_, err = m.fanIn(mt, meshWarmFan, key)
 			}
 		}
 		if err != nil {
@@ -406,7 +390,7 @@ func runMesh(p *pass) error {
 			return fmt.Errorf("mesh set-up: %w", err)
 		}
 		p.setups = append(p.setups, time.Since(t0))
-		p.tr.add("mesh.setup", 0, t0, time.Now())
+		p.reg.SpanAt("mesh", "setup", t0, time.Now())
 		if i < meshSetups-1 {
 			if err := m.stop(); err != nil {
 				return fmt.Errorf("mesh teardown: %w", err)
@@ -427,7 +411,7 @@ func runMesh(p *pass) error {
 	for round := int64(0); round == 0 || time.Now().Before(deadline); round++ {
 		t0 := time.Now()
 		rep := m.pingRoundTrip(mt, pingRound, round*pingRound)
-		p.tr.add("mesh.ping_round", 0, t0, time.Now())
+		p.reg.SpanAt("mesh", "ping round", t0, time.Now())
 		p.attempted += int64(pingRound)
 		rtts = rtts[:len(rep.rtts)]
 		for i, d := range rep.rtts {
@@ -447,18 +431,17 @@ func runMesh(p *pass) error {
 	}
 
 	// Phase B: fan-in, with the layer registries diffed around it.
-	before := m.snapshot()
-	routersBefore := m.nodes[0].VM().RouterStats()
+	before, benchBefore := m.snapshot(), p.reg.Snapshot()
+	inline0, queued0 := m.laneCounts()
 	recBefore := m.recorders()
 	objs0, bytes0 := allocs()
 	var rates []float64
-	var sendB hist
 	var delivered int64
 	deadline = time.Now().Add(p.dur * 65 / 100)
 	for round := uint64(1); round == 1 || time.Now().Before(deadline); round++ {
 		t0 := time.Now()
-		elapsed, err := m.fanIn(mt, fanRound, key+round<<40, &sendB)
-		p.tr.add("mesh.fan_round", 0, t0, time.Now())
+		elapsed, err := m.fanIn(mt, fanRound, key+round<<40)
+		p.reg.SpanAt("mesh", "fan-in round", t0, time.Now())
 		p.attempted += int64(fanRound)
 		if err != nil {
 			p.failed += int64(fanRound)
@@ -484,7 +467,7 @@ func runMesh(p *pass) error {
 	p.note("rtt_samples", float64(len(roundP99)*pingRound), "count")
 	p.note("msgs_per_s", msgs, "1/s")
 	p.note("fan_rounds", float64(len(rates)), "count")
-	if p.tr == nil {
+	if p.reg == nil {
 		return nil
 	}
 
@@ -504,13 +487,11 @@ func runMesh(p *pass) error {
 	p.layer("node.deliver_ns.p50", q("node.frame.deliver.ns", 0.5))
 	p.layer("node.deliver_ns.p99", q("node.frame.deliver.ns", 0.99))
 	p.layer("node.read_ns.p50", q("node.frame.read.ns", 0.5))
-	p.layer("core.send_ns.p50", sendB.q(0.5))
-	p.layer("core.send_ns.p99", sendB.q(0.99))
-	var inline, queued int64
-	for i, l := range m.nodes[0].VM().RouterStats() {
-		inline += l.Inline - routersBefore[i].Inline
-		queued += l.Enqueued - routersBefore[i].Enqueued
-	}
+	send := snapHist(diffSnap(p.reg.Snapshot(), benchBefore), "bench.core.send")
+	p.layer("core.send_ns.p50", send.Quantile(0.5))
+	p.layer("core.send_ns.p99", send.Quantile(0.99))
+	inline, queued := m.laneCounts()
+	inline, queued = inline-inline0, queued-queued0
 	p.layer("core.lane.inline_ratio", float64(inline)/float64(max(inline+queued, 1)))
 	p.layer("go.allocs_per_msg", float64(objs1-objs0)/n)
 	p.layer("go.bytes_per_msg", float64(bytes1-bytes0)/n)
@@ -530,6 +511,18 @@ func (m *meshRun) snapshot() *obs.Snapshot {
 	s := m.regs[0].Snapshot()
 	s.Merge(m.regs[1].Snapshot())
 	return s
+}
+
+// laneCounts sums both nodes' router-lane decisions so far: messages
+// delivered inline and messages queued to a lane.
+func (m *meshRun) laneCounts() (inline, queued int64) {
+	for _, n := range m.nodes {
+		for _, l := range n.VM().RouterStats() {
+			inline += l.Inline
+			queued += l.Enqueued
+		}
+	}
+	return inline, queued
 }
 
 func (m *meshRun) recorders() [2][2]int64 {

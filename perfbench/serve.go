@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pfi"
 	"repro/internal/serve"
 )
@@ -34,8 +36,8 @@ const (
 	serveRung         = 1000 // requests per rung, so its p99 has 10 beyond it
 	serveLimit        = 50 * time.Millisecond
 	limitMS           = float64(serveLimit) / 1e6
-	serveSetups       = 5
-	serveWarm         = 200 // requests of set-up warm-up
+	serveSetups       = 15
+	serveWarm         = 100 // requests of set-up warm-up
 )
 
 // serveProgram is one generated program and the output it must print.
@@ -231,7 +233,7 @@ func openLoop(p *pass, m *serve.Manager, sc *schedule, n int, rate float64) []re
 		t0 := time.Now()
 		s, err := m.Submit(serve.Request{Source: r.prog.src})
 		r.sub = time.Now()
-		p.tr.add("serve.Manager.Submit", 0, t0, r.sub)
+		p.reg.SpanAt("loadgen", "serve.Manager.Submit", t0, r.sub)
 		if err != nil {
 			r.err = fmt.Errorf("submit: %w", err)
 			continue
@@ -317,7 +319,7 @@ func runServe(p *pass) error {
 			}
 		}
 		p.setups = append(p.setups, time.Since(t0))
-		p.tr.add("serve.setup", 0, t0, time.Now())
+		p.reg.SpanAt("serve", "setup", t0, time.Now())
 		if i < serveSetups-1 {
 			if err := m.Drain(time.Minute); err != nil {
 				return err
@@ -347,7 +349,10 @@ func runServe(p *pass) error {
 	// miss the limit on a passing stall, so the climb ends only after
 	// serveMisses misses in a row; the result is the highest rung that met
 	// the limit, interpolated towards the missed rung above it.  A ladder
-	// whose first rung misses descends until one meets the limit.
+	// whose first rung misses descends until one meets the limit.  A ladder
+	// that runs out of rungs still reports: the highest rung met is a floor
+	// when none above it missed, and when none met the limit the figure is
+	// a step below the lowest rung tried.
 	type rung struct{ rate, p99 float64 }
 	var pass, fail []rung
 	rate, misses := serveLadderStart, 0
@@ -371,30 +376,39 @@ func runServe(p *pass) error {
 		}
 		rate *= serveLadderStep
 	}
-	if len(pass) == 0 || len(fail) == 0 {
-		return fmt.Errorf("rate ladder found no crossing of the %v p99 limit", serveLimit)
-	}
-	best := pass[0]
-	for _, r := range pass {
-		if r.rate > best.rate {
-			best = r
+	var maxRate float64
+	if len(pass) == 0 {
+		low := math.Inf(1)
+		for _, r := range fail {
+			low = min(low, r.rate)
 		}
-	}
-	next := rung{math.Inf(1), 0}
-	for _, r := range fail {
-		if r.rate > best.rate && r.rate < next.rate {
-			next = r
+		maxRate = low / serveLadderStep
+		fmt.Printf("# ladder: no rung met the limit; max_rate_per_s is a step below the lowest rung tried\n")
+	} else {
+		best := pass[0]
+		for _, r := range pass {
+			if r.rate > best.rate {
+				best = r
+			}
 		}
-	}
-	maxRate := best.rate
-	if !math.IsInf(next.rate, 1) {
-		frac := (limitMS - best.p99) / max(next.p99-best.p99, 1e-9)
-		maxRate += (next.rate - best.rate) * min(max(frac, 0), 1)
+		next := rung{math.Inf(1), 0}
+		for _, r := range fail {
+			if r.rate > best.rate && r.rate < next.rate {
+				next = r
+			}
+		}
+		maxRate = best.rate
+		if math.IsInf(next.rate, 1) {
+			fmt.Printf("# ladder: no rung above %.0f/s missed the limit; max_rate_per_s is a floor\n", best.rate)
+		} else {
+			frac := (limitMS - best.p99) / max(next.p99-best.p99, 1e-9)
+			maxRate += (next.rate - best.rate) * min(max(frac, 0), 1)
+		}
 	}
 	p.memPeak = mem.finish()
 	p.e2e["rate_per_s"] = maxRate
 	p.note("max_rate_per_s", maxRate, "1/s")
-	if p.tr == nil {
+	if p.reg == nil {
 		return nil
 	}
 
@@ -410,17 +424,18 @@ func runServe(p *pass) error {
 		}
 		queue = append(queue, float64(r.started.Sub(r.submitted))/1e6)
 		service := float64(r.finished.Sub(r.started)) / 1e6
+		name := "session miss"
 		if r.hit {
 			hit = append(hit, service)
+			name = "session hit"
 		} else {
 			miss = append(miss, service)
 		}
 		events += r.events
 		overwrites += r.events - r.retained
 		msgs += int64(r.prog.msgs)
-		id := p.tr.add("serve.session", 0, r.due, r.finished)
-		p.tr.add("serve.queue", id, r.submitted, r.started)
-		p.tr.add("serve.service", id, r.started, r.finished)
+		p.reg.SpanAt("serve queue", name, r.submitted, r.started)
+		p.reg.SpanAt("serve service", name, r.started, r.finished)
 	}
 	p.layer("serve.queue_wait_ms.p50", quantile(queue, 0.5))
 	p.layer("serve.queue_wait_ms.p99", quantile(queue, 0.99))
@@ -436,30 +451,30 @@ func runServe(p *pass) error {
 	p.layer("obs.recorder.overwrites", float64(overwrites))
 
 	// The compile and boot costs behind a miss: each distinct program
-	// compiled once, and VMs of the session shape booted.
-	var compiles, boots hist
+	// compiled once, and VMs booted as the manager boots a session's: the
+	// same shape, a fresh flight recorder and an output writer.
+	compiles, boots := p.timer("bench.pfi.compile"), p.timer("bench.core.vm_boot")
 	for i := range pool {
 		t0 := time.Now()
 		if _, err := pfi.CompileUncached(pool[i].src); err != nil {
 			return err
 		}
 		t1 := time.Now()
-		compiles.add(t1.Sub(t0))
-		p.tr.add("pfi.Compile", 0, t0, t1)
+		compiles.ObserveDuration(t1.Sub(t0))
+		p.reg.SpanAt("serve", "pfi.CompileUncached", t0, t1)
 	}
 	for i := 0; i < 50; i++ {
+		rec := obs.NewRecorder(0, 0, 0)
 		t0 := time.Now()
-		vm, err := core.NewVM(config.Simple(2, 8), core.Options{})
+		vm, err := core.NewVM(config.Simple(2, 8), core.Options{UserOutput: io.Discard, FlightRecorder: rec})
 		if err != nil {
 			return err
 		}
 		t1 := time.Now()
 		vm.Shutdown()
-		boots.add(t1.Sub(t0))
-		p.tr.add("core.NewVM", 0, t0, t1)
+		boots.ObserveDuration(t1.Sub(t0))
+		p.reg.SpanAt("serve", "core.NewVM", t0, t1)
 	}
-	p.layer("pfi.compile_us.p50", compiles.q(0.5)/1e3)
-	p.layer("pfi.compile_us.p99", compiles.q(0.99)/1e3)
-	p.layer("core.vm_boot_us.p50", boots.q(0.5)/1e3)
+	timerLayers(p)
 	return nil
 }

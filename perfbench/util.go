@@ -1,16 +1,10 @@
 package main
 
 import (
-	"bufio"
-	"fmt"
 	"math"
-	"math/bits"
-	"os"
-	"path/filepath"
 	"runtime/metrics"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/msgcodec"
@@ -61,58 +55,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// hist is the benchmark's own latency histogram for calls it times: 32
-// sub-buckets per octave (about 2% relative error), owned by one goroutine
-// and merged afterwards.
-type hist struct {
-	n      int64
-	counts [64 * 32]int64
-}
-
-func histIndex(v int64) int {
-	if v < 32 {
-		return int(max(v, 0))
-	}
-	e := bits.Len64(uint64(v)) - 6 // v >> e lies in [32, 64)
-	return e*32 + int(uint64(v)>>uint(e))
-}
-
-func histLow(i int) float64 {
-	if i < 32 {
-		return float64(i)
-	}
-	e := i/32 - 1
-	return float64(uint64(i%32+32) << uint(e))
-}
-
-func (h *hist) add(d time.Duration) {
-	h.n++
-	h.counts[histIndex(int64(d))]++
-}
-
-func (h *hist) merge(o *hist) {
-	h.n += o.n
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-}
-
-// q returns the q-quantile in the recorded unit (nanoseconds).
-func (h *hist) q(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(h.n)))
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= max(target, 1) {
-			return histLow(i)
-		}
-	}
-	return 0
 }
 
 // memSampler tracks peak heap-object bytes while a timed phase runs.
@@ -227,105 +169,4 @@ func recorderEvents(evs []msgcodec.BlackboxEvent) (total, retained int64) {
 		total = max(total, int64(e.Seq))
 	}
 	return total, int64(len(evs))
-}
-
-// tracer keeps the traced pass's spans in memory: one per timed call into
-// a layer, each naming the call, its parent span and its interval.  Spans
-// past the cap are counted, not kept; the per-call histograms still see
-// every call.
-type tracer struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	spans   []span
-	dropped int64
-}
-
-type span struct {
-	name       string
-	id, parent int32
-	start, end int64 // nanoseconds since the tracer's epoch
-}
-
-const spanCap = 1 << 18
-
-func newTracer() *tracer { return &tracer{epoch: time.Now()} }
-
-// add records one finished span and returns its id (0 when dropped or when
-// the tracer is nil).
-func (t *tracer) add(name string, parent int32, start, end time.Time) int32 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) >= spanCap {
-		t.dropped++
-		return 0
-	}
-	id := int32(len(t.spans) + 1)
-	t.spans = append(t.spans, span{name, id, parent, int64(start.Sub(t.epoch)), int64(end.Sub(t.epoch))})
-	return id
-}
-
-type selfRow struct {
-	name               string
-	n                  int
-	selfP50, selfTotal float64
-}
-
-// selfTimes reports, per span name, each span's self time: its duration
-// minus the time its child spans cover.
-func (t *tracer) selfTimes() []selfRow {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	child := make([]int64, len(t.spans)+1)
-	for _, s := range t.spans {
-		if s.parent > 0 {
-			child[s.parent] += s.end - s.start
-		}
-	}
-	by := map[string][]float64{}
-	for _, s := range t.spans {
-		by[s.name] = append(by[s.name], float64(max(s.end-s.start-child[s.id], 0)))
-	}
-	var rows []selfRow
-	for name, xs := range by {
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		rows = append(rows, selfRow{name, len(xs), quantile(xs, 0.5), sum})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	return rows
-}
-
-// writeChrome writes the spans as a Chrome trace-event file (one track per
-// span name), viewable in chrome://tracing or Perfetto.
-func (t *tracer) writeChrome(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	t.mu.Lock()
-	fmt.Fprintf(w, "{\"otherData\":{\"dropped_spans\":%d},\"traceEvents\":[\n", t.dropped)
-	for i, s := range t.spans {
-		sep := ","
-		if i == len(t.spans)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(w, "{\"name\":%q,\"ph\":\"X\",\"pid\":1,\"tid\":%q,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"id\":%d,\"parent\":%d}}%s\n",
-			s.name, s.name, float64(s.start)/1e3, float64(s.end-s.start)/1e3, s.id, s.parent, sep)
-	}
-	t.mu.Unlock()
-	fmt.Fprintln(w, "]}")
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
