@@ -160,7 +160,8 @@ func runForce(p *pass) error {
 	var prog *pfi.Program
 	boots, compiles := p.timer("bench.core.vm_boot"), p.timer("bench.pfi.compile")
 	for i := 0; i < forceSetups; i++ {
-		t0 := time.Now()
+		clock := startActive()
+		t0 := clock.t0
 		var err error
 		if vm, err = bootForce(reg, out); err != nil {
 			return err
@@ -180,7 +181,7 @@ func runForce(p *pass) error {
 			vm.Shutdown()
 			return fmt.Errorf("warm-up run: %w", err)
 		}
-		p.setups = append(p.setups, t3.Sub(t0))
+		p.setupDone(clock)
 		boots.ObserveDuration(t1.Sub(t0))
 		compiles.ObserveDuration(t2.Sub(t1))
 		p.reg.SpanAt("force", "setup", t0, t3)
@@ -197,8 +198,8 @@ func runForce(p *pass) error {
 	stmts0 := prog.Counters().Get("statements")
 	mem := startMem()
 	var solves []float64
-	start := time.Now()
-	deadline := start.Add(p.dur)
+	clock := startActive()
+	deadline := clock.t0.Add(p.dur)
 	for p.attempted == 0 || time.Now().Before(deadline) {
 		t0 := time.Now()
 		err := prog.Run(vm, pfi.Options{}, arg)
@@ -214,7 +215,7 @@ func runForce(p *pass) error {
 		solves = append(solves, float64(t1.Sub(t0)))
 		p.reg.SpanAt("force", "pfi.Program.Run", t0, t1)
 	}
-	elapsed := time.Since(start)
+	wall, steal := clock.read()
 	p.memPeak = mem.finish()
 
 	stmts := prog.Counters().Get("statements") - stmts0
@@ -222,10 +223,13 @@ func runForce(p *pass) error {
 	p99 := windowP99(solves, 1000)
 	p50 := quantile(solves, 0.5)
 	p.e2e["lat_p50_ms"] = p50 / 1e6
-	p.e2e["rate_per_s"] = float64(len(solves)) / elapsed.Seconds()
+	p.e2e["rate_per_s"] = activeRate(float64(len(solves)), wall, steal)
 	p.note("solve_s", p50/1e9, "s")
 	p.note("solve_p99_s", p99/1e9, "s")
 	p.note("solves", float64(len(solves)), "count")
+	p.note("solves_per_s", p.e2e["rate_per_s"], "1/s")
+	p.note("solves_per_s_wall", float64(len(solves))/wall.Seconds(), "1/s")
+	p.note("steal_frac", float64(steal)/float64(wall), "ratio")
 	if p.reg == nil {
 		return nil
 	}

@@ -41,7 +41,7 @@ type pass struct {
 	reg *obs.Registry
 
 	attempted, failed int64
-	setups            []time.Duration // one per set-up repetition
+	setups            []time.Duration // one per set-up repetition, active time
 	memPeak           uint64          // peak heap bytes during the timed phase
 
 	e2e    map[string]float64 // generic end-to-end metrics, see e2eUnits
@@ -60,6 +60,12 @@ func (p *pass) note(name string, value float64, unit string) {
 }
 
 func (p *pass) layer(name string, value float64) { p.layers[name] = finite(value) }
+
+// setupDone records one set-up repetition started at c, in active time.
+func (p *pass) setupDone(c activeClock) {
+	wall, steal := c.read()
+	p.setups = append(p.setups, wall-steal)
+}
 
 // timer returns the benchmark histogram for one kind of timed call; nil,
 // whose observations are no-ops, on a clean pass.

@@ -332,8 +332,9 @@ func (m *meshRun) pingRoundTrip(mt *meshTasks, n int, base int64) pingReport {
 }
 
 // fanIn runs one phase-B round of total datums and checks the collector's
-// count and checksums against the generated streams.
-func (m *meshRun) fanIn(mt *meshTasks, total int, key uint64) (time.Duration, error) {
+// count and checksums against the generated streams.  It returns the
+// round's wall time and the host's steal during it.
+func (m *meshRun) fanIn(mt *meshTasks, total int, key uint64) (wall, steal time.Duration, err error) {
 	producers := len(m.producers)
 	per := total / producers
 	var wantV int64
@@ -347,25 +348,25 @@ func (m *meshRun) fanIn(mt *meshTasks, total int, key uint64) (time.Duration, er
 			}
 		}
 	}
-	t0 := time.Now()
+	clock := startActive()
 	if err := m.vmOf(m.collector).SendFromUser(m.collector, "go", core.Int(int64(per*producers)), core.Int(int64(producers))); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	for p, id := range m.producers {
 		if err := m.vmOf(id).SendFromUser(id, "go", core.ID(m.collector), core.Int(int64(per)), core.Int(int64(key+uint64(p)<<32))); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	rep := <-mt.fans
-	elapsed := time.Since(t0)
+	wall, steal = clock.read()
 	if rep.err != nil {
-		return elapsed, rep.err
+		return wall, steal, rep.err
 	}
 	if rep.got != per*producers || rep.fins != producers || rep.sumV != wantV || rep.sumR != wantR {
-		return elapsed, fmt.Errorf("fan-in mismatch: got %d/%d datums, %d/%d fins, checksums %d/%d %g/%g",
+		return wall, steal, fmt.Errorf("fan-in mismatch: got %d/%d datums, %d/%d fins, checksums %d/%d %g/%g",
 			rep.got, per*producers, rep.fins, producers, rep.sumV, wantV, rep.sumR, wantR)
 	}
-	return elapsed, nil
+	return wall, steal, nil
 }
 
 func runMesh(p *pass) error {
@@ -373,14 +374,14 @@ func runMesh(p *pass) error {
 	key := splitmix64(uint64(p.seed))
 	var m *meshRun
 	for i := 0; i < meshSetups; i++ {
-		t0 := time.Now()
+		clock := startActive()
 		var err error
 		m, err = startMesh(mt, p.reg != nil)
 		if err == nil {
 			if rep := m.pingRoundTrip(mt, meshWarmPings, 0); rep.err != nil {
 				err = rep.err
 			} else {
-				_, err = m.fanIn(mt, meshWarmFan, key)
+				_, _, err = m.fanIn(mt, meshWarmFan, key)
 			}
 		}
 		if err != nil {
@@ -389,8 +390,8 @@ func runMesh(p *pass) error {
 			}
 			return fmt.Errorf("mesh set-up: %w", err)
 		}
-		p.setups = append(p.setups, time.Since(t0))
-		p.reg.SpanAt("mesh", "setup", t0, time.Now())
+		p.setupDone(clock)
+		p.reg.SpanAt("mesh", "setup", clock.t0, time.Now())
 		if i < meshSetups-1 {
 			if err := m.stop(); err != nil {
 				return fmt.Errorf("mesh teardown: %w", err)
@@ -435,12 +436,13 @@ func runMesh(p *pass) error {
 	inline0, queued0 := m.laneCounts()
 	recBefore := m.recorders()
 	objs0, bytes0 := allocs()
-	var rates []float64
+	var rates, wallRates []float64
 	var delivered int64
+	var wallSum, stealSum time.Duration
 	deadline = time.Now().Add(p.dur * 65 / 100)
 	for round := uint64(1); round == 1 || time.Now().Before(deadline); round++ {
 		t0 := time.Now()
-		elapsed, err := m.fanIn(mt, fanRound, key+round<<40)
+		wall, steal, err := m.fanIn(mt, fanRound, key+round<<40)
 		p.reg.SpanAt("mesh", "fan-in round", t0, time.Now())
 		p.attempted += int64(fanRound)
 		if err != nil {
@@ -449,12 +451,14 @@ func runMesh(p *pass) error {
 			break
 		}
 		delivered += int64(fanRound)
-		rates = append(rates, float64(fanRound)/elapsed.Seconds())
+		wallSum, stealSum = wallSum+wall, stealSum+steal
+		rates = append(rates, activeRate(fanRound, wall, steal))
+		wallRates = append(wallRates, float64(fanRound)/wall.Seconds())
 	}
 	objs1, bytes1 := allocs()
 	p.memPeak = mem.finish()
 
-	fmt.Printf("# fan-in round rates: %.0f\n", rates)
+	fmt.Printf("# fan-in round rates, active time: %.0f\n", rates)
 	// Percentiles are taken per round of pingRound samples (p99 has 20
 	// beyond it) and the median over rounds reported, so one stalled round
 	// cannot move them.
@@ -466,6 +470,8 @@ func runMesh(p *pass) error {
 	p.note("rtt_p99_us", rttP99, "us")
 	p.note("rtt_samples", float64(len(roundP99)*pingRound), "count")
 	p.note("msgs_per_s", msgs, "1/s")
+	p.note("msgs_per_s_wall", quantile(wallRates, 0.5), "1/s")
+	p.note("steal_frac", float64(stealSum)/float64(max(wallSum, 1)), "ratio")
 	p.note("fan_rounds", float64(len(rates)), "count")
 	if p.reg == nil {
 		return nil

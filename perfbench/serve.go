@@ -20,24 +20,28 @@ import (
 // cache, and their popularity is Zipf-skewed, so hits, misses and evictions
 // all occur.  One generator goroutine submits on a fixed schedule; latency
 // runs from each request's due time to its session's finish.  The run
-// spends serveNominalShare of --seconds at the nominal rate, then runs a
-// rate ladder to find the highest rate whose p99 meets serveLimit.
+// spends serveNominalShare of --seconds at the nominal rate and
+// serveCapacityShare at saturation, then runs a rate ladder to find the
+// highest rate whose p99 meets serveLimit.
 const (
-	servePool         = 400       // distinct programs per seed
-	serveCacheBytes   = 256 << 10 // compile-cache bound, well under the pool's weight
-	serveActive       = 2         // MaxActive: sessions running at once (nproc)
-	serveQueue        = 4096      // admission queue depth: no rung overflows it
-	serveNominal      = 400.0     // nominal rate, requests/s, well under capacity
-	serveNominalShare = 0.6       // share of --seconds spent at the nominal rate
-	serveLadderStart  = 1200.0    // first ladder rung, requests/s
-	serveLadderStep   = 1.08      // rate ratio between ladder rungs
-	serveMisses       = 3         // misses in a row that end the climb
-	serveMaxRungs     = 24
-	serveRung         = 1000 // requests per rung, so its p99 has 10 beyond it
-	serveLimit        = 50 * time.Millisecond
-	limitMS           = float64(serveLimit) / 1e6
-	serveSetups       = 15
-	serveWarm         = 100 // requests of set-up warm-up
+	servePool          = 400             // distinct programs per seed
+	serveCacheBytes    = 256 << 10       // compile-cache bound, well under the pool's weight
+	serveActive        = 2               // MaxActive: sessions running at once (nproc)
+	serveQueue         = 4096            // admission queue depth: no rung overflows it
+	serveNominal       = 400.0           // nominal rate, requests/s, well under capacity
+	serveNominalShare  = 0.4             // share of --seconds spent at the nominal rate
+	serveCapacityShare = 0.35            // share of --seconds spent at saturation
+	serveInFlight      = 2 * serveActive // sessions outstanding at saturation
+	serveWindow        = 500             // completions per saturation window
+	serveLadderStart   = 0.8             // first ladder rung, as a share of the measured capacity
+	serveLadderStep    = 1.08            // rate ratio between ladder rungs
+	serveMisses        = 3               // misses in a row that end the climb
+	serveMaxRungs      = 24
+	serveRung          = 1000 // requests per rung, so its p99 has 10 beyond it
+	serveLimit         = 50 * time.Millisecond
+	limitMS            = float64(serveLimit) / 1e6
+	serveSetups        = 15
+	serveWarm          = 100 // requests of set-up warm-up
 )
 
 // serveProgram is one generated program and the output it must print.
@@ -47,19 +51,25 @@ type serveProgram struct {
 	msgs int // messages the program sends, by construction
 }
 
+// genServePool generates the programs in order of popularity: pool[0] is
+// drawn most often.  A program's kind and size come from its rank, and the
+// seed draws its constants, so every seed offers the same work and the
+// seeds' programs differ in text and output.
 func genServePool(seed int64) []serveProgram {
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[string]bool{}
 	var pool []serveProgram
 	for len(pool) < servePool {
+		rank := len(pool)
+		size := math.Mod(float64(rank)*0.6180339887, 1) // spread evenly over [0, 1)
 		var p serveProgram
-		switch rng.Intn(3) {
+		switch rank % 3 {
 		case 0:
-			p = genFanout(rng)
+			p = genFanout(rng, size)
 		case 1:
-			p = genLoop(rng)
+			p = genLoop(rng, size)
 		default:
-			p = genPingPong(rng)
+			p = genPingPong(rng, size)
 		}
 		if !seen[p.src] {
 			seen[p.src] = true
@@ -70,8 +80,8 @@ func genServePool(seed int64) []serveProgram {
 }
 
 // genFanout: MAIN initiates workers that each sum a short series and reply.
-func genFanout(rng *rand.Rand) serveProgram {
-	nw, n, l := 2+rng.Intn(3), 10+rng.Intn(50), 50+rng.Intn(150)
+func genFanout(rng *rand.Rand, size float64) serveProgram {
+	nw, n, l := 2+int(size*3), 10+int(size*50), 50+int(size*150)
 	a, b := 2+rng.Intn(30), 5+rng.Intn(40)
 	j := 0
 	for i := 1; i <= l; i++ {
@@ -110,8 +120,8 @@ END TASKTYPE
 }
 
 // genLoop: a single task and a nested loop; no messages.
-func genLoop(rng *rand.Rand) serveProgram {
-	l, m, a, b, c := 20+rng.Intn(40), 5+rng.Intn(15), 2+rng.Intn(40), 3+rng.Intn(60), rng.Intn(100)
+func genLoop(rng *rand.Rand, size float64) serveProgram {
+	l, m, a, b, c := 20+int(size*40), 5+int(size*15), 2+rng.Intn(40), 3+rng.Intn(60), rng.Intn(100)
 	j := 0
 	for i := 1; i <= l; i++ {
 		for k := 1; k <= m; k++ {
@@ -134,8 +144,8 @@ END TASKTYPE
 
 // genPingPong: MAIN and a child exchange k round trips, each reply
 // depending on the last.
-func genPingPong(rng *rand.Rand) serveProgram {
-	k, v0, b, c := 2+rng.Intn(8), 1+rng.Intn(50), 2+rng.Intn(20), 7+rng.Intn(200)
+func genPingPong(rng *rand.Rand, size float64) serveProgram {
+	k, v0, b, c := 2+int(size*8), 1+rng.Intn(50), 2+rng.Intn(20), 7+rng.Intn(200)
 	j, v := 0, v0
 	for i := 1; i <= k; i++ {
 		j += (v*b + i) % c
@@ -227,9 +237,7 @@ func openLoop(p *pass, m *serve.Manager, sc *schedule, n int, rate float64) []re
 		r := &reqs[i]
 		r.prog = sc.next()
 		r.due = start.Add(time.Duration(i) * interval)
-		if d := time.Until(r.due); d > 0 {
-			time.Sleep(d)
-		}
+		waitUntil(r.due, interval/10)
 		t0 := time.Now()
 		s, err := m.Submit(serve.Request{Source: r.prog.src})
 		r.sub = time.Now()
@@ -243,6 +251,66 @@ func openLoop(p *pass, m *serve.Manager, sc *schedule, n int, rate float64) []re
 	close(queue)
 	<-collected
 	return reqs
+}
+
+// saturate keeps serveInFlight sessions outstanding for dur from the
+// calling goroutine, submitting the next as the oldest finishes, so the
+// manager's queue never runs dry.  It returns the completion rate of each
+// window of serveWindow sessions, over active time and over wall time.
+func saturate(p *pass, m *serve.Manager, sc *schedule, dur time.Duration) (rates, wallRates []float64, steal, wall time.Duration) {
+	type admitted struct {
+		r *request
+		s *serve.Session
+	}
+	var flight []admitted
+	done := make([]request, 0, serveWindow)
+	next := func() {
+		r := &request{prog: sc.next(), due: time.Now()}
+		s, err := m.Submit(serve.Request{Source: r.prog.src})
+		r.sub = time.Now()
+		if err != nil {
+			r.err = fmt.Errorf("submit: %w", err)
+			done = append(done, *r)
+			return
+		}
+		flight = append(flight, admitted{r, s})
+	}
+	deadline := time.Now().Add(dur)
+	clock := startActive()
+	for range serveInFlight {
+		next()
+	}
+	for len(flight) > 0 {
+		a := flight[0]
+		flight = flight[1:]
+		a.r.collect(a.s)
+		done = append(done, *a.r)
+		if time.Now().Before(deadline) {
+			next()
+		}
+		if len(done) >= serveWindow || (len(flight) == 0 && len(rates) == 0) {
+			w, st := clock.read()
+			wall, steal = wall+w, steal+st
+			rates = append(rates, activeRate(float64(len(done)), w, st))
+			wallRates = append(wallRates, float64(len(done))/w.Seconds())
+			check(p, done)
+			done = done[:0]
+			clock = startActive()
+		}
+	}
+	check(p, done)
+	return rates, wallRates, steal, wall
+}
+
+// waitUntil returns at due: it sleeps until spin before due and spins the
+// rest, because a sleeping generator wakes late by however long the host
+// takes to wake an idle vCPU, and that lateness would count as latency.
+func waitUntil(due time.Time, spin time.Duration) {
+	if d := time.Until(due) - spin; d > 0 {
+		time.Sleep(d)
+	}
+	for time.Now().Before(due) {
+	}
 }
 
 // check counts each request against the pass and returns the due-to-finish
@@ -303,7 +371,7 @@ func runServe(p *pass) error {
 	sc := &schedule{pool: pool, zipf: rand.NewZipf(rng, 1.1, 1, servePool-1)}
 	var m *serve.Manager
 	for i := 0; i < serveSetups; i++ {
-		t0 := time.Now()
+		clock := startActive()
 		m = newManager()
 		warm := make([]request, serveWarm)
 		sessions := make([]*serve.Session, serveWarm)
@@ -318,8 +386,8 @@ func runServe(p *pass) error {
 				return fmt.Errorf("warm-up: %w", warm[j].err)
 			}
 		}
-		p.setups = append(p.setups, time.Since(t0))
-		p.reg.SpanAt("serve", "setup", t0, time.Now())
+		p.setupDone(clock)
+		p.reg.SpanAt("serve", "setup", clock.t0, time.Now())
 		if i < serveSetups-1 {
 			if err := m.Drain(time.Minute); err != nil {
 				return err
@@ -344,10 +412,20 @@ func runServe(p *pass) error {
 	p.note("lat_p99_ms", p99, "ms")
 	p.note("lat_samples", float64(len(lats)), "count")
 
+	rates, wallRates, steal, wall := saturate(p, m, sc, time.Duration(float64(p.dur)*serveCapacityShare))
+	if len(rates) == 0 {
+		return fmt.Errorf("no session was admitted at saturation")
+	}
+	p.e2e["rate_per_s"] = quantile(rates, 0.5)
+	p.note("capacity_per_s", p.e2e["rate_per_s"], "1/s")
+	capacityWall := quantile(wallRates, 0.5)
+	p.note("capacity_per_s_wall", capacityWall, "1/s")
+	p.note("steal_frac", float64(steal)/float64(max(wall, 1)), "ratio")
+
 	// Rate ladder: rungs of a fixed request count, each drained before the
-	// next, climbing from serveLadderStart by serveLadderStep.  A rung can
-	// miss the limit on a passing stall, so the climb ends only after
-	// serveMisses misses in a row; the result is the highest rung that met
+	// next, climbing by serveLadderStep from serveLadderStart times the
+	// wall-time capacity just measured.  A rung can miss the limit on a
+	// passing stall, so the climb ends only after serveMisses misses in a row; the result is the highest rung that met
 	// the limit, interpolated towards the missed rung above it.  A ladder
 	// whose first rung misses descends until one meets the limit.  A ladder
 	// that runs out of rungs still reports: the highest rung met is a floor
@@ -355,7 +433,7 @@ func runServe(p *pass) error {
 	// a step below the lowest rung tried.
 	type rung struct{ rate, p99 float64 }
 	var pass, fail []rung
-	rate, misses := serveLadderStart, 0
+	rate, misses := serveLadderStart*capacityWall, 0
 	for n := 0; n < serveMaxRungs && misses < serveMisses; n++ {
 		reqs := openLoop(p, m, sc, serveRung, rate)
 		rl := check(p, reqs)
@@ -406,7 +484,6 @@ func runServe(p *pass) error {
 		}
 	}
 	p.memPeak = mem.finish()
-	p.e2e["rate_per_s"] = maxRate
 	p.note("max_rate_per_s", maxRate, "1/s")
 	if p.reg == nil {
 		return nil

@@ -2,8 +2,10 @@ package main
 
 import (
 	"math"
+	"os"
 	"runtime/metrics"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -46,6 +48,66 @@ func medianDur(ds []time.Duration) time.Duration {
 		xs[i] = float64(d)
 	}
 	return time.Duration(quantile(xs, 0.5))
+}
+
+// Host steal.  On a virtual machine the hypervisor can take a vCPU away
+// while the program wants it, and /proc/stat counts that time as steal.
+// On a shared host it comes and goes with the neighbours' load and moves a
+// throughput measured in wall time by 20% or more from one run to the
+// next.  Every rate_per_s is therefore counted over active time: wall time
+// less the interval's steal averaged over the vCPUs, the time the VM had
+// its CPUs.  Where /proc/stat is missing, active time is wall time.
+
+// activeClock measures one interval in wall time and in active time.
+type activeClock struct {
+	t0     time.Time
+	steal0 time.Duration
+}
+
+func startActive() activeClock { return activeClock{time.Now(), stolen()} }
+
+// read returns the wall time since c started and the part of it the
+// hypervisor took, averaged over the vCPUs.
+func (c activeClock) read() (wall, steal time.Duration) {
+	wall = time.Since(c.t0)
+	return wall, min(max(stolen()-c.steal0, 0), wall)
+}
+
+// activeRate returns n per second of the active part of wall.
+func activeRate(n float64, wall, steal time.Duration) float64 {
+	if active := wall - steal; active > 0 {
+		return n / active.Seconds()
+	}
+	return n / wall.Seconds()
+}
+
+// stolen returns the host's steal so far, summed over the vCPUs in
+// /proc/stat and divided by their number: the mean time a vCPU has lost.
+// /proc/stat counts in USER_HZ ticks, 100 per second on Linux.
+func stolen() time.Duration {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0
+	}
+	var total int64
+	cpus := 0
+	for _, line := range strings.Split(string(b), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || !strings.HasPrefix(f[0], "cpu") {
+			continue
+		}
+		if f[0] != "cpu" {
+			cpus++
+			continue
+		}
+		if len(f) > 8 {
+			total, _ = strconv.ParseInt(f[8], 10, 64)
+		}
+	}
+	if cpus == 0 {
+		return 0
+	}
+	return time.Duration(total) * 10 * time.Millisecond / time.Duration(cpus)
 }
 
 // splitmix64 is the input generator's mixing function: every generated
