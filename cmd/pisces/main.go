@@ -197,8 +197,7 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		"inject deterministic seeded latency and retransmission faults on every cross-cluster message (combine with -sim for byte-reproducible network schedules)")
 	acceptTimeout := fs.Duration("accept-timeout", 30*time.Second,
 		"system-provided timeout for ACCEPT statements without a DELAY clause")
-	wire := addWireFlags(fs) // batched wire path knobs; -nodes runs only
-	ha := addHAFlags(fs)     // fault-tolerant mesh knobs; -nodes runs only
+	ha := addHAFlags(fs) // fault-tolerant mesh knobs; -nodes runs only
 	// The FlagSet's own printing is suppressed so parse errors surface exactly
 	// once (through main's error path) and -h exits 0 with the usage text.
 	fs.SetOutput(io.Discard)
@@ -234,7 +233,7 @@ func runInterpretedInner(args []string, out io.Writer) error {
 		if err := ha.validate(); err != nil {
 			return err
 		}
-		return runDistributed(*nodes, *clusters, *slots, *forces, *mainTT, *showStats, *traceOut, *blackboxOut, *acceptTimeout, wire, ha, fs.Arg(0), out)
+		return runDistributed(*nodes, *clusters, *slots, *forces, *mainTT, *showStats, *traceOut, *blackboxOut, *acceptTimeout, ha, fs.Arg(0), out)
 	}
 	if *ha.enabled {
 		return fmt.Errorf("-ha requires -nodes (fault tolerance spans node processes)")

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/memory"
-	"repro/internal/msgcodec"
 	"repro/internal/obs"
 )
 
@@ -46,17 +45,15 @@ import (
 const routerBatch = 16
 
 // wireMsg is one cross-cluster message in flight: codec-encoded argument
-// bytes in the source cluster's heap shard, plus the header fields the router
-// needs to rebuild the message on the destination side.  dest is the
+// bytes in the source cluster's heap shard, plus the message header the
+// router rebuilds the message around on the destination side.  dest is the
 // receiving task's record, resolved once on the send side; its in-queue's
 // closed flag is the liveness check at delivery time.
 type wireMsg struct {
-	dest    *taskRec
-	msgType string
-	sender  TaskID
-	seq     uint64
-	sendSeq uint64 // HA send sequence number (0 = unsequenced)
-	edge    uint64 // causal edge id stamped at the send site
+	dest *taskRec
+	// msg is the header (type, sender, sequence numbers, causal edge,
+	// initiate-reply linkage); its Args travel as the wire bytes at off.
+	msg *Message
 
 	srcHeap *memory.Allocator // source shard holding the wire bytes
 	off     int               // allocation offset in srcHeap
@@ -64,8 +61,6 @@ type wireMsg struct {
 	size    int               // charged bytes (header + packets model)
 	wireLen int               // codec bytes actually written at off
 
-	// reply carries the initiate-reply linkage for routed initiate requests.
-	reply *initReply
 	// flush, when non-nil, marks a barrier token: the router opens the gate
 	// once everything enqueued before it has been delivered.  No payload.
 	flush backend.Gate
@@ -146,45 +141,20 @@ func (vm *VM) startRouters() error {
 // not at delivery — keeps the pre-shard error contract: a send that the
 // receiving cluster cannot hold fails with ErrHeapExhausted at the sender
 // instead of vanishing in flight.  It returns the charged byte size so the
-// caller can charge send ticks; both allocations are owned by the router
-// from here on.  from is the sending cluster (it must differ from the
-// destination's), dest the receiving task's record.
-func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sender TaskID, args []Value, seq, sendSeq uint64, reply *initReply) (int, error) {
-	var spanT0 time.Time
-	if vm.spansOn() {
-		spanT0 = vm.om.reg.Now()
-	}
-	size, err := encodedSize(args)
+// caller can charge send ticks; the header and both allocations are owned by
+// the router from here on.  from is the sending cluster (it must differ from
+// the destination's), dest the receiving task's record.
+func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msg *Message) (int, error) {
+	t0 := vm.spanStart()
+	wire, off, size, err := vm.encodeOut(from.heap, msg.Type, msg.Args)
 	if err != nil {
+		recycleMessage(msg)
 		return 0, err
-	}
-	off, err := from.heap.Alloc(size)
-	if err != nil {
-		return 0, vm.heapErr(err)
-	}
-	// Encode straight into the shard's arena: the packet-model size always
-	// bounds the wire size (a packet holds more than an argument's wire
-	// overhead), so the append never outgrows the allocation.
-	buf := from.heap.Bytes(off, size)
-	var obsT0 time.Time
-	if vm.metricsOn() {
-		obsT0 = vm.om.reg.Now()
-	}
-	wire, err := msgcodec.AppendEncode(buf[:0], args)
-	if !obsT0.IsZero() {
-		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(obsT0))
-	}
-	if err != nil {
-		_ = from.heap.Free(off)
-		return 0, err
-	}
-	if len(wire) > size {
-		_ = from.heap.Free(off)
-		return 0, fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(wire), size)
 	}
 	destOff, err := dest.cluster.heap.Alloc(size)
 	if err != nil {
 		_ = from.heap.Free(off)
+		recycleMessage(msg)
 		return 0, vm.heapErr(err)
 	}
 	// The destination-shard reservation is this message's heap charge (the
@@ -194,28 +164,18 @@ func (vm *VM) routeMessage(from *clusterRT, dest *taskRec, msgType string, sende
 		vm.om.heapCharges.Inc()
 		vm.om.heapMsgBytes.Observe(int64(size))
 	}
-	edge := vm.newEdge()
-	if reply != nil {
-		reply.edge = edge
+	msg.Args = nil // the arguments travel as the wire bytes
+	msg.edge = vm.newEdge()
+	if msg.reply != nil {
+		msg.reply.edge = msg.edge
 	}
-	w := wireMsg{
-		dest: dest, msgType: msgType, sender: sender, seq: seq, sendSeq: sendSeq, edge: edge,
-		srcHeap: from.heap, off: off, destOff: destOff, size: size, wireLen: len(wire),
-		reply: reply,
-	}
-	// The send-side half of the causal pair: a flight-recorder event and, when
-	// spans are live, a small send span the flow arrow starts inside.
-	vm.om.rec.Record(from.cfg.Number, msgcodec.EvSend, edge,
-		int64(from.cfg.Number), int64(dest.cluster.cfg.Number))
-	if !spanT0.IsZero() {
-		lane := fmt.Sprintf("send/c%d", from.cfg.Number)
-		vm.om.reg.Span(lane, "send "+msgType, spanT0)
-		vm.om.reg.Flow(edge, lane, obs.FlowStart, spanT0)
-	}
+	vm.emitSend(from.cfg.Number, dest.cluster.cfg.Number, msg.edge, msg.Type, t0)
+	w := wireMsg{dest: dest, msg: msg, srcHeap: from.heap, off: off, destOff: destOff, size: size, wireLen: len(wire)}
 	if !dest.cluster.router[from.cfg.Number].send(w) {
 		_ = from.heap.Free(off)
 		_ = dest.cluster.heap.Free(destOff)
-		reply.deliver(NilTask)
+		msg.reply.deliver(NilTask)
+		recycleMessage(msg)
 		return 0, ErrVMTerminated
 	}
 	return size, nil
@@ -246,16 +206,16 @@ func (r *clusterRouter) send(w wireMsg) bool {
 	return true
 }
 
-// enqueue appends one wire message for the lane task without the inline fast
-// path (used by flush tokens, which must observe queue order strictly).  It
-// reports false if the lane has already been stopped.
-func (r *clusterRouter) enqueue(w wireMsg) bool {
+// flush queues a barrier token behind everything already on the lane,
+// skipping the inline fast path so queue order holds strictly.  It reports
+// false if the lane has already been stopped.
+func (r *clusterRouter) flush(g backend.Gate) bool {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return false
 	}
-	r.q = append(r.q, w)
+	r.q = append(r.q, wireMsg{flush: g})
 	r.statEnqueued++
 	r.mu.Unlock()
 	r.wake.Pulse()
@@ -311,64 +271,28 @@ func (r *clusterRouter) deliver(w *wireMsg) {
 		w.flush.Open()
 		return
 	}
-	metrics, spans := r.vm.metricsOn(), r.vm.spansOn()
-	var obsT0 time.Time
-	if metrics || spans {
-		obsT0 = r.vm.om.reg.Now()
-		if metrics && !w.enq.IsZero() {
-			r.vm.om.laneQueue.ObserveDuration(obsT0.Sub(w.enq))
-		}
+	vm, msg := r.vm, w.msg
+	args, t0, derr := vm.decodeIn(w.srcHeap.Bytes(w.off, w.wireLen))
+	if !w.enq.IsZero() && !t0.IsZero() {
+		vm.om.laneQueue.ObserveDuration(t0.Sub(w.enq))
 	}
-	args, derr := msgcodec.Decode(w.srcHeap.Bytes(w.off, w.wireLen))
-	if metrics {
-		r.vm.om.decodeNS.ObserveDuration(r.vm.om.reg.Now().Sub(obsT0))
-	}
-	if spans {
-		defer func() {
-			lane := fmt.Sprintf("router/c%d->c%d", r.src, r.cl.cfg.Number)
-			r.vm.om.reg.Span(lane, "deliver "+w.msgType, obsT0)
-			// End the causal flow inside the deliver span: the viewer draws
-			// the arrow from the send span to this slice.
-			r.vm.om.reg.Flow(w.edge, lane, obs.FlowEnd, obsT0)
-		}()
-	}
+	defer vm.emitDeliver(r.src, r.cl.cfg.Number, msg.Type, msg.edge, obs.FlowEnd, t0)
 	_ = w.srcHeap.Free(w.off)
 	if derr != nil {
 		// Unreachable for run-time-encoded messages; surface loudly rather
 		// than lose traffic silently if the codec and router ever disagree.
 		_ = r.cl.heap.Free(w.destOff)
-		r.vm.userPrintf("pisces: router cluster %d: corrupt wire message %s from %s: %v\n",
-			r.cl.cfg.Number, w.msgType, w.sender, derr)
-		w.reply.deliver(NilTask)
+		vm.userPrintf("pisces: router cluster %d: corrupt wire message %s from %s: %v\n",
+			r.cl.cfg.Number, msg.Type, msg.Sender, derr)
+		msg.reply.deliver(NilTask)
+		recycleMessage(msg)
 		return
 	}
-	// Charge the transfer to the destination PE's clock without occupying its
-	// CPU: the inter-cluster copy is bus work, not receiver computation.
-	r.cl.primary.Charge(int64(costRouteMsg + costSendPacket*((w.size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-
 	// The destination-shard storage was reserved at send time; the message
 	// just takes ownership of it here.
-	msg := newMessage(w.msgType, w.sender, args, w.seq)
-	msg.sendSeq = w.sendSeq
-	msg.edge = w.edge
-	msg.reply = w.reply
+	msg.Args = args
 	msg.heapOff, msg.heapBytes, msg.heapShard = w.destOff, w.size, r.cl.heap
-	switch w.dest.queue.put(msg) {
-	case putOK:
-	case putDup:
-		// HA duplicate suppression: the receiver admitted this send sequence
-		// number in a previous life; drop the re-delivery.
-		r.vm.releaseMessage(msg)
-		recycleMessage(msg)
-	case putClosed:
-		// Receiver terminated while the message was in flight (or, for an
-		// initiate request, the VM is shutting down): the send already
-		// succeeded from the sender's point of view, the message is dropped
-		// like any message queued at a task's termination.
-		r.vm.releaseMessage(msg)
-		recycleMessage(msg)
-		w.reply.deliver(NilTask)
-	}
+	vm.enqueue(w.dest, msg, true)
 }
 
 // flushRouters blocks until every wire message enqueued before the call has
@@ -376,7 +300,7 @@ func (r *clusterRouter) deliver(w *wireMsg) {
 func (vm *VM) flushRouters() {
 	for _, r := range vm.routers {
 		g := vm.backend.NewGate()
-		if r.enqueue(wireMsg{flush: g}) {
+		if r.flush(g) {
 			g.Wait()
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -272,81 +273,33 @@ func (t *Task) broadcast(cluster int, msgType string, args []Value) error {
 	return firstErr
 }
 
-// sendInternal performs the shared-memory allocation, delivery, tracing, and
-// tick charging of one message send.  An intra-cluster send touches only its
-// own cluster's heap shard; a cross-cluster send is codec-encoded into the
-// sender's shard and handed to the destination cluster's router.
+// sendInternal performs one message send: the route, shared-memory
+// allocation and delivery go through the VM's message path (msgpath.go);
+// this adds the sender's side — tick charging, the sent count, the paper
+// trace, and HA send suppression.
 func (t *Task) sendInternal(to TaskID, msgType string, args []Value, sendSeq uint64) error {
-	from := t.rec.cluster
-	if t.vm.wireRemote(from, to.Cluster) {
-		// Under InterceptWire the destination is still hosted here, so keep
-		// the direct path's error contract: a send to a task that is not
-		// running fails at the sender even though delivery is delayed.
-		if t.vm.hosts(to.Cluster) {
-			if _, ok := t.vm.lookupTask(to); !ok {
-				if t.haSendSuppressed(sendSeq) {
-					// The receiver existed when this send first executed and
-					// has since terminated; the original delivery happened.
-					return nil
-				}
-				return fmt.Errorf("%w: %s", ErrNoSuchTask, to)
-			}
-		}
-		size, err := t.vm.routeRemote(from, to, msgType, t.ID(), args, sendSeq, nil)
-		if err != nil {
-			return err
-		}
-		t.Charge(int64(costSendHeader + costSendPacket*((size-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-		t.vm.msgsSent.Add(1)
-		t.vm.recordRouted(from, t.ID(), to, msgType, size)
-		return nil
-	}
-	rec, ok := t.vm.lookupTask(to)
-	if !ok {
+	msg := newMessage(msgType, t.ID(), args, t.vm.msgSeq.Add(1))
+	msg.sendSeq = sendSeq
+	size, via, err := t.vm.send(t.rec.cluster, to, msg)
+	if errors.Is(err, errNotRunning) {
 		if t.haSendSuppressed(sendSeq) {
+			// The receiver existed when this send first executed and has
+			// since terminated; the original delivery happened.
 			return nil
 		}
 		return fmt.Errorf("%w: %s", ErrNoSuchTask, to)
 	}
-	var size int
-	if rec.cluster != from {
-		var err error
-		size, err = t.vm.routeMessage(from, rec, msgType, t.ID(), args, t.vm.msgSeq.Add(1), sendSeq, nil)
-		if err != nil {
-			return err
-		}
-	} else {
-		msg := newMessage(msgType, t.ID(), args, t.vm.msgSeq.Add(1))
-		msg.sendSeq = sendSeq
-		if err := t.vm.chargeMessageOn(from.heap, msg); err != nil {
-			recycleMessage(msg)
-			return err
-		}
-		// Snapshot the size before delivery: once the message is in the
-		// receiver's in-queue it may be accepted (and its heap storage
-		// released) concurrently with the rest of this send.
-		size = msg.heapBytes
-		switch rec.queue.put(msg) {
-		case putOK:
-		case putDup:
-			// Already delivered in a previous life; the send succeeds.
-			t.vm.releaseMessage(msg)
-			recycleMessage(msg)
-		case putClosed:
-			t.vm.releaseMessage(msg)
-			recycleMessage(msg)
-			if t.haSendSuppressed(sendSeq) {
-				return nil
-			}
-			return fmt.Errorf("%w: %s", ErrNoSuchTask, to)
-		}
+	if err != nil {
+		return err
 	}
-	packets := (size - msgcodec.HeaderBytes) / msgcodec.PacketBytes
-	t.Charge(int64(costSendHeader + costSendPacket*packets))
+	t.Charge(int64(costSendHeader + costSendPacket*packets(size)))
 	t.vm.msgsSent.Add(1)
 	if t.vm.tracing(trace.MsgSend) {
-		t.vm.record(trace.MsgSend, t.ID(), to, from.primary,
-			fmt.Sprintf("msgtype=%s args=%d bytes=%d", msgType, len(args), size))
+		info := fmt.Sprintf("msgtype=%s args=%d bytes=%d", msgType, len(args), size)
+		if via == hopWire {
+			info = fmt.Sprintf("msgtype=%s routed=remote bytes=%d", msgType, size)
+		}
+		t.vm.record(trace.MsgSend, t.ID(), to, t.rec.cluster.primary, info)
 	}
 	return nil
 }

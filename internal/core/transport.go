@@ -6,21 +6,20 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/memory"
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Cross-cluster transport seam.
 //
-// PR 4 made every cross-cluster message travel as real msgcodec wire bytes
-// between per-cluster heap shards, but both ends still lived in one process:
-// the router lanes in router.go moved the bytes.  This file extracts the seam
-// those lanes sat behind into a Transport interface, so a PISCES machine can
-// be partitioned across OS processes ("nodes", internal/node): each VM hosts
-// a subset of the configured clusters, and a frame whose destination cluster
-// is hosted elsewhere is handed to the VM's remote Transport instead of a
-// router lane.  The in-process delivery path — decode the wire bytes, charge
+// Every cross-cluster message travels as msgcodec wire bytes between
+// per-cluster heap shards; within one process the router lanes in router.go
+// move the bytes.  The Transport interface is the seam behind those lanes,
+// so a PISCES machine can be partitioned across OS processes ("nodes",
+// internal/node): each VM hosts a subset of the configured clusters, and a
+// frame whose destination cluster is hosted elsewhere is handed to the VM's
+// remote Transport instead of a router lane.  The in-process delivery path — decode the wire bytes, charge
 // the destination shard, queue on the destination task — is itself exposed as
 // the loopback Transport, which is both the degenerate single-process
 // implementation and the inbound half every remote transport delivers
@@ -243,68 +242,39 @@ func (vm *VM) replyTransport() Transport {
 // charged by the receiving node at delivery — a remote receiver's heap
 // exhaustion cannot fail the sender synchronously, so an undeliverable frame
 // is dropped there like any message in flight to a terminated task.  from is
-// nil when the sender is the execution environment.
-func (vm *VM) routeRemote(from *clusterRT, to TaskID, msgType string, sender TaskID, args []Value, sendSeq uint64, reply *initReply) (int, error) {
+// nil when the sender is the execution environment.  The message header is
+// consumed.
+func (vm *VM) routeRemote(from *clusterRT, to TaskID, msg *Message) (int, error) {
+	defer recycleMessage(msg)
 	if vm.remote == nil {
 		return 0, fmt.Errorf("core: cluster %d is not hosted by this node and no remote transport is configured", to.Cluster)
 	}
-	size, err := encodedSize(args)
-	if err != nil {
-		return 0, err
-	}
-	src := vm.homeCluster()
-	var payload []byte
-	off := -1
-	metrics, spans := vm.metricsOn(), vm.spansOn()
-	var obsT0 time.Time
-	if metrics || spans {
-		obsT0 = vm.om.reg.Now()
-	}
+	src, heap := vm.homeCluster(), (*memory.Allocator)(nil)
 	if from != nil {
-		src = from.cfg.Number
-		off, err = from.heap.Alloc(size)
-		if err != nil {
-			return 0, vm.heapErr(err)
-		}
-		buf := from.heap.Bytes(off, size)
-		payload, err = msgcodec.AppendEncode(buf[:0], args)
-		if err == nil && len(payload) > size {
-			err = fmt.Errorf("core: wire form of %s (%d bytes) exceeds its packet-model size %d", msgType, len(payload), size)
-		}
-	} else {
-		payload, err = msgcodec.Encode(args)
+		src, heap = from.cfg.Number, from.heap
 	}
-	if metrics {
-		vm.om.encodeNS.ObserveDuration(vm.om.reg.Now().Sub(obsT0))
-	}
+	t0 := vm.spanStart()
+	payload, off, size, err := vm.encodeOut(heap, msg.Type, msg.Args)
 	if err != nil {
-		if off >= 0 {
-			_ = from.heap.Free(off)
-		}
 		return 0, err
 	}
 	edge := vm.newEdge()
 	f := wireFramePool.Get().(*WireFrame)
 	*f = WireFrame{
 		Kind: FrameMessage, Src: src, Dst: to.Cluster, Dest: to,
-		Type: msgType, Sender: sender, Seq: vm.msgSeq.Add(1), SendSeq: sendSeq,
+		Type: msg.Type, Sender: msg.Sender, Seq: msg.seq, SendSeq: msg.sendSeq,
 		Edge: edge, Payload: payload,
 	}
-	if reply != nil {
-		reply.edge = edge
-		f.ReplyID = vm.addPendingReply(reply)
+	if msg.reply != nil {
+		msg.reply.edge = edge
+		f.ReplyID = vm.addPendingReply(msg.reply)
 	}
-	vm.om.rec.Record(src, msgcodec.EvSend, edge, int64(src), int64(to.Cluster))
-	if spans {
-		lane := fmt.Sprintf("send/c%d", src)
-		vm.om.reg.Span(lane, "send "+msgType, obsT0)
-		vm.om.reg.Flow(edge, lane, obs.FlowStart, obsT0)
-	}
+	vm.emitSend(src, to.Cluster, edge, msg.Type, t0)
 	sendErr := vm.remote.Send(f)
 	replyID := f.ReplyID
 	wireFramePool.Put(f)
 	if off >= 0 {
-		_ = from.heap.Free(off)
+		_ = heap.Free(off)
 	}
 	if sendErr != nil {
 		if replyID != 0 {
@@ -334,10 +304,10 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 		return err
 	}
 	// Broadcasts get a real edge (so the recorder sees them, B = -1 marking
-	// the fan-out) but no flow events: a flow with several ends renders as a
-	// tangle, not a path.
+	// the fan-out) but no span or flow: a flow with several ends renders as
+	// a tangle, not a path.
 	edge := vm.newEdge()
-	vm.om.rec.Record(from.cfg.Number, msgcodec.EvSend, edge, int64(from.cfg.Number), -1)
+	vm.emitSend(from.cfg.Number, -1, edge, msgType, time.Time{})
 	f := &WireFrame{
 		Kind: FrameBroadcast, Src: from.cfg.Number, Dst: cluster,
 		Type: msgType, Sender: sender, Seq: vm.msgSeq.Add(1), SendSeq: sendSeq,
@@ -356,6 +326,9 @@ func (vm *VM) routeBroadcast(from *clusterRT, cluster int, msgType string, sende
 // preserve per-sender arrival order, which a per-peer socket reader or a
 // per-lane timer chain does naturally.
 func (vm *VM) DeliverWire(f *WireFrame) error {
+	if f.Kind == FrameBroadcast {
+		return vm.deliverWireBroadcast(f)
+	}
 	var reply *initReply
 	if f.ReplyID != 0 {
 		rid, src := f.ReplyID, f.Src
@@ -365,9 +338,6 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 			}
 		}}
 	}
-	if f.Kind == FrameBroadcast {
-		return vm.deliverWireBroadcast(f)
-	}
 	rec, ok := vm.lookupTask(f.Dest)
 	if !ok || !vm.hosts(f.Dest.Cluster) {
 		reply.deliver(NilTask)
@@ -375,31 +345,16 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 	}
 	// Inbound router half: a remote frame's decode+charge+queue is the same
 	// layer a lane's deliver is for in-process traffic, so it carries the same
-	// metrics and a router-lane span (lane "router/c<dst><-wire").
-	metrics, spans := vm.metricsOn(), vm.spansOn()
-	var obsT0 time.Time
-	if metrics || spans {
-		obsT0 = vm.om.reg.Now()
+	// metrics and a router-lane span (lane "router/c<dst><-wire").  A routed
+	// initiate still owes its sender a reply frame, so its flow steps through
+	// here and ends when the reply lands back on the requesting node; plain
+	// messages end here.
+	args, t0, err := vm.decodeIn(f.Payload)
+	phase := obs.FlowEnd
+	if f.ReplyID != 0 {
+		phase = obs.FlowStep
 	}
-	if spans {
-		edge, stepping, dst, msgType := f.Edge, f.ReplyID != 0, f.Dest.Cluster, f.Type
-		defer func() {
-			lane := fmt.Sprintf("router/c%d<-wire", dst)
-			vm.om.reg.Span(lane, "deliver "+msgType, obsT0)
-			// A routed initiate still owes its sender a reply frame, so the
-			// flow steps through here and ends when the reply lands back on
-			// the requesting node; plain messages end here.
-			phase := obs.FlowEnd
-			if stepping {
-				phase = obs.FlowStep
-			}
-			vm.om.reg.Flow(edge, lane, phase, obsT0)
-		}()
-	}
-	args, err := msgcodec.Decode(f.Payload)
-	if metrics {
-		vm.om.decodeNS.ObserveDuration(vm.om.reg.Now().Sub(obsT0))
-	}
+	defer vm.emitDeliver(0, f.Dest.Cluster, f.Type, f.Edge, phase, t0)
 	if err != nil {
 		// Unreachable for run-time-encoded frames; surface loudly rather
 		// than lose traffic silently if a peer and this node ever disagree.
@@ -407,33 +362,24 @@ func (vm *VM) DeliverWire(f *WireFrame) error {
 		reply.deliver(NilTask)
 		return err
 	}
-	msg := newMessage(f.Type, f.Sender, args, vm.msgSeq.Add(1))
-	msg.sendSeq = f.SendSeq
-	msg.edge = f.Edge
-	msg.reply = reply
-	if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
-		recycleMessage(msg)
+	if err := vm.admitFrame(rec, f, args, reply); err != nil {
 		vm.userPrintf("pisces: node: dropping %s for %s: %v\n", f.Type, f.Dest, err)
 		reply.deliver(NilTask)
 		return err
 	}
-	// Charge the transfer to the destination PE's clock without occupying its
-	// CPU, exactly like the in-process router: the inter-cluster copy is bus
-	// (here: network) work, not receiver computation.
-	rec.cluster.primary.Charge(int64(costRouteMsg + costSendPacket*((msg.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-	switch rec.queue.put(msg) {
-	case putOK:
-	case putDup:
-		// Duplicate of a frame admitted before a recovery (replayed sender or
-		// re-delivered retention): the original delivery stands.
-		vm.releaseMessage(msg)
+	return nil
+}
+
+// admitFrame charges the message a decoded frame carries to rec's heap shard
+// and queues it on rec.
+func (vm *VM) admitFrame(rec *taskRec, f *WireFrame, args []Value, reply *initReply) error {
+	msg := newMessage(f.Type, f.Sender, args, vm.msgSeq.Add(1))
+	msg.sendSeq, msg.edge, msg.reply = f.SendSeq, f.Edge, reply
+	if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
 		recycleMessage(msg)
-	case putClosed:
-		vm.releaseMessage(msg)
-		rep := msg.reply
-		recycleMessage(msg)
-		rep.deliver(NilTask)
+		return err
 	}
+	vm.enqueue(rec, msg, true)
 	return nil
 }
 
@@ -462,18 +408,8 @@ func (vm *VM) deliverWireBroadcast(f *WireFrame) error {
 	vm.mu.Unlock()
 	sort.Slice(targets, func(i, j int) bool { return targets[i].id.less(targets[j].id) })
 	for _, rec := range targets {
-		msg := newMessage(f.Type, f.Sender, args, vm.msgSeq.Add(1))
-		msg.sendSeq = f.SendSeq
-		msg.edge = f.Edge
-		if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
-			recycleMessage(msg)
+		if err := vm.admitFrame(rec, f, args, nil); err != nil {
 			vm.userPrintf("pisces: node: dropping broadcast %s for %s: %v\n", f.Type, rec.id, err)
-			continue
-		}
-		rec.cluster.primary.Charge(int64(costRouteMsg + costSendPacket*((msg.heapBytes-msgcodec.HeaderBytes)/msgcodec.PacketBytes)))
-		if rec.queue.put(msg) != putOK {
-			vm.releaseMessage(msg)
-			recycleMessage(msg)
 		}
 	}
 	return nil
@@ -505,14 +441,6 @@ func (vm *VM) flushTransports() {
 	vm.flushRouters()
 	if vm.remote != nil {
 		vm.remote.Flush()
-	}
-}
-
-// recordRouted traces one outbound remote send like a lane delivery would.
-func (vm *VM) recordRouted(from *clusterRT, sender, to TaskID, msgType string, size int) {
-	if vm.tracing(trace.MsgSend) && from != nil {
-		vm.record(trace.MsgSend, sender, to, from.primary,
-			fmt.Sprintf("msgtype=%s routed=remote bytes=%d", msgType, size))
 	}
 }
 

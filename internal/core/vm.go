@@ -736,58 +736,6 @@ func (vm *VM) leastLoaded(nums []int, exclude int) *clusterRT {
 	return best
 }
 
-// deliverSystem delivers a run-time message to the destination task, charging
-// the destination cluster's heap shard for it like any other message.  from
-// is the sending task's cluster, or nil when the sender is the execution
-// environment; a cross-cluster system message travels through the wire codec
-// and the destination's router exactly like user traffic.  On failure (and on
-// the routed path, where the router rebuilds the message on the destination
-// side) the message header is recycled; the caller must not reuse it.
-func (vm *VM) deliverSystem(from *clusterRT, dest TaskID, msg *Message) error {
-	if vm.wireRemote(from, dest.Cluster) {
-		// Intercepted traffic to a locally hosted task keeps the direct
-		// path's ErrNoSuchTask contract (see Task.sendInternal).
-		if vm.hosts(dest.Cluster) {
-			if _, ok := vm.lookupTask(dest); !ok {
-				recycleMessage(msg)
-				return fmt.Errorf("%w: %s", ErrNoSuchTask, dest)
-			}
-		}
-		msgType, args, sender, sendSeq, reply := msg.Type, msg.Args, msg.Sender, msg.sendSeq, msg.reply
-		recycleMessage(msg)
-		_, err := vm.routeRemote(from, dest, msgType, sender, args, sendSeq, reply)
-		return err
-	}
-	rec, ok := vm.lookupTask(dest)
-	if !ok {
-		recycleMessage(msg)
-		return fmt.Errorf("%w: %s", ErrNoSuchTask, dest)
-	}
-	if from != nil && rec.cluster != from {
-		msgType, args, sender, seq, sendSeq, reply := msg.Type, msg.Args, msg.Sender, msg.seq, msg.sendSeq, msg.reply
-		recycleMessage(msg)
-		_, err := vm.routeMessage(from, rec, msgType, sender, args, seq, sendSeq, reply)
-		return err
-	}
-	if err := vm.chargeMessageOn(rec.cluster.heap, msg); err != nil {
-		recycleMessage(msg)
-		return err
-	}
-	switch rec.queue.put(msg) {
-	case putOK:
-	case putDup:
-		// HA duplicate: already delivered in a previous life; the send
-		// succeeds from the caller's point of view.
-		vm.releaseMessage(msg)
-		recycleMessage(msg)
-	case putClosed:
-		vm.releaseMessage(msg)
-		recycleMessage(msg)
-		return fmt.Errorf("%w: %s", ErrNoSuchTask, dest)
-	}
-	return nil
-}
-
 // chargeMessageOn allocates the message's shared-memory footprint on the
 // given heap shard (always the destination cluster's: the receiver's run-time
 // recovers the storage when the message is accepted).

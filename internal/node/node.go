@@ -55,10 +55,6 @@ type Options struct {
 	// a metric snapshot to every drain ack, so the coordinator can print one
 	// merged cluster-wide view (FollowerSnapshots).
 	Metrics *obs.Registry
-	// Wire tunes the batched wire path (batch buffer size, linger, credit
-	// window); the zero value selects the defaults documented on WireConfig.
-	// Every node of a mesh should run the same settings.
-	Wire WireConfig
 	// HA enables fault tolerance: peer heartbeats and failure detection,
 	// periodic checkpoints streamed to a buddy node, sender-side frame
 	// retention, and automatic rebalancing of a dead node's clusters (see
@@ -165,7 +161,7 @@ func Start(opts Options) (*Node, error) {
 		opts:          opts,
 		topo:          topo,
 		fp:            Fingerprint(opts.Config, topo, opts.Source),
-		tr:            newTransport(opts.NodeID, topo, reg, opts.Wire),
+		tr:            newTransport(opts.NodeID, topo, reg),
 		acks:          make(chan drainAck, 4*len(opts.Addrs)),
 		shutdownCh:    make(chan struct{}),
 		reg:           reg,
@@ -596,13 +592,12 @@ func (n *Node) readLoop(from int, conn net.Conn) {
 // the reader.
 func (n *Node) deliverLoop(from int, work <-chan []byte, free chan<- []byte) {
 	defer n.readers.Done()
-	rxLane := fmt.Sprintf("node/%d rx<-n%d", n.opts.NodeID, from)
 	pending := 0             // delivered-but-ungranted credited frames
 	var frame core.WireFrame // reused per frame; DeliverWire does not retain it
 	for payload := range work {
 		metrics := n.reg.Has(obs.Metrics)
 		var deliverT0 time.Time
-		if metrics || n.reg.Has(obs.Spans) {
+		if metrics {
 			deliverT0 = n.reg.Now()
 		}
 		kind, body := payload[0], payload[1:]
@@ -618,7 +613,6 @@ func (n *Node) deliverLoop(from int, work <-chan []byte, free chan<- []byte) {
 			if metrics {
 				n.frameDeliver.ObserveDuration(n.reg.Now().Sub(deliverT0))
 			}
-			n.reg.Span(rxLane, "rx "+frame.Type, deliverT0)
 		case fInitReply:
 			replyID, id, err := decodeInitReply(body)
 			if err != nil {
@@ -767,7 +761,7 @@ func (n *Node) idleWithin(d time.Duration) bool {
 // deliver stage — node 0 sends nothing but control frames after its program
 // finished, so blocking here cannot starve a message the idle wait depends
 // on.  Outbound batches are flushed before the counts are read, so a frame
-// lingering in an open batch cannot be reported sent-but-unreceivable for
+// waiting in an open batch cannot be reported sent-but-unreceivable for
 // the whole round.
 func (n *Node) answerDrain(epoch uint32) {
 	idle := n.idleWithin(2 * time.Second)

@@ -15,10 +15,7 @@ import (
 
 // Batched wire path.
 //
-// PR 5's transport wrote one frame per message under a per-peer lock and
-// flushed it to the kernel before the sender's Send returned: correct, but
-// the per-frame syscall put loopback TCP a factor of ~3 behind the
-// in-process router.  The path is now built around three ideas:
+// The path is built around three ideas:
 //
 //  1. Frame coalescing.  Each peer has an open batch buffer; senders append
 //     length-prefixed frames to it (msgcodec batch framing) and a dedicated
@@ -26,77 +23,42 @@ import (
 //     While the writer is in the syscall, new frames accumulate in the next
 //     batch, so coalescing adapts to load with no mandatory latency: an idle
 //     lane flushes a lone frame immediately, a busy lane packs hundreds of
-//     frames per syscall.  WireConfig.BatchDelay optionally lingers a
-//     partial batch to trade latency for fewer, larger writes.
+//     frames per syscall.
 //  2. Zero-copy batch encode.  The frame encoder writes DIRECTLY from the
 //     sender's heap-shard arena into the batch buffer (BeginFrame/EndFrame
 //     backfill the length prefix), so payload bytes are copied exactly once.
 //     The copy happens inside Send, which is the batch-handoff point: the
 //     sender's shard storage is recoverable as soon as Send returns, even
-//     though the bytes reach the wire later.  (PR 5's "synchronous write ⇒
-//     shard recovers immediately" invariant is gone; handoff-time copy is
-//     what replaces it.)
-//  3. Credit-based flow control.  Each lane starts with WireConfig
-//     CreditWindow credits; a data frame consumes one, and the receiver
-//     returns credits on the control-frame channel (fCredit) as it delivers
-//     frames to its VM.  A slow node therefore stalls its senders at a
-//     bounded queue depth instead of growing an unbounded batch buffer.
+//     though the bytes reach the wire later.
+//  3. Credit-based flow control.  Each lane starts with creditWindow
+//     credits; a data frame consumes one, and the receiver returns credits
+//     on the control-frame channel (fCredit) as it delivers frames to its
+//     VM.  A slow node therefore stalls its senders at a bounded queue depth
+//     instead of growing an unbounded batch buffer.
 //
 // The byte stream is identical to per-frame writes (a batch is just
 // concatenated length-prefixed frames), so the receiver's framing layer is
 // unchanged; batching is invisible to the protocol apart from fCredit.
 
-// WireConfig tunes the batched wire path.  The zero value selects defaults;
-// every node of a mesh should run the same values (the settings are
-// per-process, not negotiated).
-type WireConfig struct {
-	// BatchBytes is the target batch-buffer size: the writer stops lingering
-	// once the open batch reaches it, and recycled buffers are capped near
-	// it.  A single frame larger than BatchBytes still travels — the batch
-	// buffer grows for it and is written whole.  <= 0 means 64 KiB.
-	BatchBytes int
-	// BatchDelay is the longest a partial batch may linger waiting for more
-	// frames before the writer flushes it.  0 flushes as soon as the writer
-	// is free (natural coalescing: batching then comes only from frames that
-	// arrive while the previous write syscall runs, which costs no latency).
-	// Values in the 50–200µs range trade that latency for larger batches.
-	BatchDelay time.Duration
-	// CreditWindow is the per-lane flow-control window: how many credited
-	// data frames may be in flight toward a peer before Send stalls waiting
-	// for the receiver's credit grants.  0 means 1024; negative disables
-	// flow control (unbounded sender queues — benchmarks only).
-	CreditWindow int
-	// Unbatched forces PR 5 semantics: every frame is flushed to the kernel
-	// before Send returns.  For A/B comparison and the dist-smoke matrix.
-	Unbatched bool
-}
-
 const (
-	defaultBatchBytes   = 64 << 10
-	defaultCreditWindow = 1024
+	// batchBytes is the batch-buffer target: the writer recycles buffers up
+	// to four times this size and lets larger ones (grown for an outsized
+	// frame, which still travels whole) be collected.
+	batchBytes = 64 << 10
+	// creditWindow is the per-lane flow-control window: how many credited
+	// data frames may be in flight toward a peer before Send stalls waiting
+	// for the receiver's credit grants.
+	creditWindow = 1024
 	// creditGrantChunk is how many delivered frames a receiver accumulates
 	// before returning credits.  Grants also go out whenever the inbound
 	// stage runs dry, so a sender whose window is smaller than the chunk
-	// (tests run windows of 1) still makes progress.
+	// still makes progress.
 	creditGrantChunk = 64
 	// stageDepth bounds the receiver's decode/deliver stage, in frames; when
 	// it fills, the reader stops pulling from the socket and TCP pushes back
 	// on the sending node's writer.
 	stageDepth = 256
 )
-
-func (c WireConfig) withDefaults() WireConfig {
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = defaultBatchBytes
-	}
-	switch {
-	case c.CreditWindow == 0:
-		c.CreditWindow = defaultCreditWindow
-	case c.CreditWindow < 0:
-		c.CreditWindow = 0 // disabled
-	}
-	return c
-}
 
 // peer is one outbound connection: this node's lane for frames toward one
 // other node.  Senders append frames to the open batch under mu; the writer
@@ -109,15 +71,13 @@ type peer struct {
 	mu   sync.Mutex
 	cond *sync.Cond // writer wake-ups, credit grants, flush/write completion
 
-	batch    []byte    // open batch: concatenated length-prefixed frames
-	spare    []byte    // recycled buffer for the next batch (double buffering)
-	frames   int       // frames in the open batch
-	counted  int       // of those, frames counted in transport.sent (loss accounting)
-	openedAt time.Time // when the open batch got its first frame (linger deadline)
-	flushReq bool      // flush the open batch now, regardless of linger
-	writing  bool      // the writer is inside conn.Write
-	closed   bool
-	err      error
+	batch   []byte // open batch: concatenated length-prefixed frames
+	spare   []byte // recycled buffer for the next batch (double buffering)
+	frames  int    // frames in the open batch
+	counted int    // of those, frames counted in transport.sent (loss accounting)
+	writing bool   // the writer is inside conn.Write
+	closed  bool
+	err     error
 
 	credits int // remaining flow-control credits toward this peer
 
@@ -148,12 +108,11 @@ type peer struct {
 // once, straight from their source into the batch buffer).  A credited frame
 // consumes one flow-control credit and may stall here until the receiver
 // grants more; a counted frame participates in the drain protocol's global
-// sent/recv balance.  In Unbatched mode the call additionally waits for the
-// frame to reach the kernel, restoring flush-per-frame semantics.
+// sent/recv balance.
 func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, encode func(batch []byte) []byte) error {
 	metrics := tr.reg.Has(obs.Metrics)
 	p.mu.Lock()
-	if credited && tr.cfg.CreditWindow > 0 && !p.dead && p.credits <= 0 {
+	if credited && !p.dead && p.credits <= 0 {
 		// A stall is a flow-control anomaly worth forensics: record which
 		// peer's window ran dry before blocking.
 		tr.reg.Recorder().Record(p.id, msgcodec.EvCreditStall, 0, int64(p.id), 0)
@@ -187,7 +146,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		p.mu.Unlock()
 		return net.ErrClosed
 	}
-	if credited && tr.cfg.CreditWindow > 0 {
+	if credited {
 		p.credits--
 	}
 	start := len(p.batch)
@@ -199,9 +158,6 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		p.mu.Unlock()
 		return err
 	}
-	if start == 0 {
-		p.openedAt = time.Now()
-	}
 	p.frames++
 	if counted {
 		p.counted++
@@ -211,14 +167,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		}
 	}
 	nbytes := len(p.batch) - start
-	if tr.cfg.Unbatched {
-		p.flushReq = true
-		p.cond.Broadcast()
-		for (len(p.batch) > 0 || p.writing) && p.err == nil {
-			p.cond.Wait()
-		}
-		err = p.err
-	} else if start == 0 {
+	if start == 0 {
 		p.cond.Broadcast() // first frame of a batch: wake the writer
 	}
 	p.mu.Unlock()
@@ -226,7 +175,7 @@ func (p *peer) enqueue(tr *transport, credited, counted bool, replyID uint64, en
 		p.txFrames.Inc()
 		p.txBytes.Add(int64(nbytes))
 	}
-	return err
+	return nil
 }
 
 // writeLoop is the peer's writer goroutine: it swaps the open batch out and
@@ -255,30 +204,10 @@ func (p *peer) writeLoop(tr *transport) {
 			p.mu.Unlock()
 			return
 		}
-		// Optional linger: give a partial batch up to BatchDelay to fill
-		// before paying the syscall.  Flush requests, errors, and close all
-		// cut the linger short.
-		if d := tr.cfg.BatchDelay; d > 0 {
-			deadline := p.openedAt.Add(d)
-			for len(p.batch) < tr.cfg.BatchBytes && !p.flushReq && p.err == nil && !p.closed {
-				wait := time.Until(deadline)
-				if wait <= 0 {
-					break
-				}
-				p.mu.Unlock()
-				time.Sleep(wait)
-				p.mu.Lock()
-			}
-			if p.err != nil {
-				p.mu.Unlock()
-				continue // top of loop handles the error exit
-			}
-		}
 		buf, frames, counted := p.batch, p.frames, p.counted
 		p.batch = p.spare[:0]
 		p.spare = nil
 		p.frames, p.counted = 0, 0
-		p.flushReq = false
 		p.writing = true
 		p.mu.Unlock()
 
@@ -312,10 +241,10 @@ func (p *peer) writeLoop(tr *transport) {
 				p.err = werr
 				tr.lost.Add(uint64(counted))
 			}
-		} else if p.spare == nil && cap(buf) <= 4*tr.cfg.BatchBytes {
+		} else if p.spare == nil && cap(buf) <= 4*tr.batchCap {
 			p.spare = buf[:0] // keep modest buffers; let outliers be collected
 		}
-		p.cond.Broadcast() // wake Flush/Unbatched waiters (and error out senders)
+		p.cond.Broadcast() // wake Flush waiters (and error out senders)
 		p.mu.Unlock()
 	}
 }
@@ -324,8 +253,6 @@ func (p *peer) writeLoop(tr *transport) {
 // been handed to the kernel (or the lane has failed).
 func (p *peer) flush() {
 	p.mu.Lock()
-	p.flushReq = true
-	p.cond.Broadcast()
 	for (len(p.batch) > 0 || p.writing) && p.err == nil {
 		p.cond.Wait()
 	}
@@ -339,7 +266,12 @@ func (p *peer) flush() {
 type transport struct {
 	nodeID int
 	topo   Topology
-	cfg    WireConfig
+
+	// window and batchCap are the creditWindow and batchBytes constants;
+	// in-package tests shrink them before traffic starts to reach the wire
+	// path's edges.
+	window   int
+	batchCap int
 
 	// reg is the node's observability registry (never nil) plus the
 	// resolved batch/credit instruments.
@@ -389,11 +321,12 @@ type transport struct {
 	vm atomic.Pointer[core.VM] // bound after the VM is booted
 }
 
-func newTransport(nodeID int, topo Topology, reg *obs.Registry, cfg WireConfig) *transport {
+func newTransport(nodeID int, topo Topology, reg *obs.Registry) *transport {
 	return &transport{
 		nodeID:        nodeID,
 		topo:          topo,
-		cfg:           cfg.withDefaults(),
+		window:        creditWindow,
+		batchCap:      batchBytes,
 		reg:           reg,
 		batchWrite:    reg.Histogram("node.batch.write.ns", "ns"),
 		batchFrames:   reg.Histogram("node.batch.frames", "n"),
@@ -412,7 +345,7 @@ func (tr *transport) bind(vm *core.VM) { tr.vm.Store(vm) }
 func (tr *transport) addPeer(id int, conn net.Conn) {
 	p := &peer{
 		id: id, conn: conn,
-		credits:  tr.cfg.CreditWindow,
+		credits:  tr.window,
 		txFrames: tr.reg.Counter(fmt.Sprintf("node.tx.n%d->n%d.frames", tr.nodeID, id)),
 		txBytes:  tr.reg.Counter(fmt.Sprintf("node.tx.n%d->n%d.bytes", tr.nodeID, id)),
 	}
@@ -550,7 +483,7 @@ func (tr *transport) sendControl(node int, payload []byte) error {
 // grantCredits returns n delivered-frame credits to the peer; called from
 // the node's delivery stage as frames land in the VM.
 func (tr *transport) grantCredits(node int, n int) {
-	if n <= 0 || tr.cfg.CreditWindow <= 0 {
+	if n <= 0 {
 		return
 	}
 	if err := tr.sendControl(node, encodeCredit(uint32(n))); err == nil && tr.reg.Has(obs.Metrics) {
@@ -576,8 +509,8 @@ func (tr *transport) addCredits(node int, n uint32) {
 
 // Flush implements core.Transport: it blocks until every frame accepted
 // before the call has been handed to the kernel.  With batching this is a
-// real wait (an open batch may still be lingering), which is what keeps the
-// VM's shutdown and user-output flushes honest.
+// real wait (the writer may not have taken the open batch yet), which is
+// what keeps the VM's shutdown and user-output flushes honest.
 func (tr *transport) Flush() {
 	for _, p := range tr.allPeers() {
 		p.flush()

@@ -2,6 +2,7 @@ package pfi
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -29,6 +30,7 @@ type UnitCache struct {
 	weight   int64
 	ll       *list.List               // front = most recently used; values are *cacheEntry
 	entries  map[string]*list.Element // source text -> element
+	inflight map[string]*pendingUnit  // source text -> compile in progress
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -38,6 +40,14 @@ type UnitCache struct {
 type cacheEntry struct {
 	src  string
 	unit *compiledUnit
+}
+
+// pendingUnit is one compile in progress.  Callers that miss on a source
+// already being compiled wait on done instead of compiling it again.
+type pendingUnit struct {
+	done chan struct{}
+	unit *compiledUnit
+	err  error
 }
 
 // NewUnitCache builds a cache bounded to maxBytes of compiled-unit weight;
@@ -50,6 +60,7 @@ func NewUnitCache(maxBytes int64) *UnitCache {
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
+		inflight: make(map[string]*pendingUnit),
 	}
 }
 
@@ -63,47 +74,63 @@ func (c *UnitCache) Compile(src string) (*Program, error) {
 
 // CompileTrace is Compile plus a report of whether the unit came from the
 // cache, so callers (the serving daemon) can attribute hit/miss traffic per
-// tenant.
+// tenant.  Concurrent callers missing on the same source share one compile:
+// the first compiles and counts the miss, the others wait for it and count
+// as hits.  A compile error reaches every waiter and is not cached.
 func (c *UnitCache) CompileTrace(src string) (*Program, bool, error) {
-	if u := c.lookup(src); u != nil {
-		return newProgram(u), true, nil
-	}
-	u, err := compileUnit(src)
-	if err != nil {
-		return nil, false, err
-	}
-	c.insert(src, u)
-	return newProgram(u), false, nil
-}
-
-// lookup returns the cached unit for src and marks it most recently used,
-// or nil on a miss.
-func (c *UnitCache) lookup(src string) *compiledUnit {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[src]
-	if !ok {
-		c.misses.Add(1)
-		return nil
+	if el, ok := c.entries[src]; ok {
+		c.ll.MoveToFront(el)
+		c.hits.Add(1)
+		c.mu.Unlock()
+		return newProgram(el.Value.(*cacheEntry).unit), true, nil
 	}
-	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).unit
+	if p, ok := c.inflight[src]; ok {
+		c.mu.Unlock()
+		<-p.done
+		if p.err != nil {
+			return nil, false, p.err
+		}
+		c.hits.Add(1)
+		return newProgram(p.unit), true, nil
+	}
+	c.misses.Add(1)
+	p := &pendingUnit{done: make(chan struct{}), err: errCompileAbandoned}
+	c.inflight[src] = p
+	c.mu.Unlock()
+	c.compile(src, p)
+	if p.err != nil {
+		return nil, false, p.err
+	}
+	return newProgram(p.unit), false, nil
 }
 
-// insert stores a freshly compiled unit, evicting least-recently-used
+// errCompileAbandoned is what callers waiting on a compile see if the
+// compiler panicked instead of returning.
+var errCompileAbandoned = errors.New("pfi: compile abandoned")
+
+// compile runs one pending compile and publishes its result to the waiters,
+// caching the unit if it compiled.  The result is published even if the
+// compiler panics, so no waiter is left blocked.
+func (c *UnitCache) compile(src string, p *pendingUnit) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, src)
+		if p.err == nil {
+			c.insertLocked(src, p.unit)
+		}
+		c.mu.Unlock()
+		close(p.done)
+	}()
+	p.unit, p.err = compileUnit(src)
+}
+
+// insertLocked stores a freshly compiled unit, evicting least-recently-used
 // entries until the cache is back under its weight bound.  The entry being
 // inserted is never evicted, so a single unit heavier than the whole bound
-// still compiles and caches (and is evicted by the next insert).
-func (c *UnitCache) insert(src string, u *compiledUnit) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[src]; ok {
-		// Two goroutines compiled the same source concurrently; keep the
-		// entry that won and let the duplicate unit be collected.
-		c.ll.MoveToFront(el)
-		return
-	}
+// still compiles and caches (and is evicted by the next insert).  Callers
+// hold c.mu.
+func (c *UnitCache) insertLocked(src string, u *compiledUnit) {
 	el := c.ll.PushFront(&cacheEntry{src: src, unit: u})
 	c.entries[src] = el
 	c.weight += u.weight

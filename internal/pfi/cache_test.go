@@ -2,6 +2,7 @@ package pfi
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -146,5 +147,48 @@ func TestUnitCacheConcurrent(t *testing.T) {
 	}
 	if s := c.Stats(); s.Entries != 5 {
 		t.Fatalf("entries = %d; want 5", s.Entries)
+	}
+}
+
+// TestUnitCacheSharesConcurrentCompile pins the stampede fix: callers that
+// miss on the same source at once share one compile, so the source counts
+// exactly one miss however the callers interleave, and every other caller
+// counts a hit.  A compile error reaches every caller and is not cached.
+func TestUnitCacheSharesConcurrentCompile(t *testing.T) {
+	const callers = 16
+	c := NewUnitCache(0)
+	run := func(src string) []error {
+		errs := make([]error, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				_, errs[i] = c.Compile(src)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		return errs
+	}
+
+	for i, err := range run(cacheProg(0)) {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Hits != callers-1 || s.Entries != 1 {
+		t.Fatalf("stats = %+v; want 1 miss, %d hits, 1 entry", s, callers-1)
+	}
+
+	for i, err := range run("TASKTYPE MAIN\n      PRINT *,\n") {
+		if err == nil {
+			t.Fatalf("caller %d: broken source compiled", i)
+		}
+	}
+	if s := c.Stats(); s.Entries != 1 {
+		t.Fatalf("entries = %d after a failed compile; want 1 (errors are not cached)", s.Entries)
 	}
 }
