@@ -94,6 +94,7 @@ func TestMultiProcessObservability(t *testing.T) {
 		"mesh runtime metrics: node 0 (clusters [1]), node 1 (clusters [2])",
 		"node.tx.n0->n1.frames", "node.rx.n1->n0.frames",
 		"node.tx.n1->n0.bytes", "node.batch.write.ns", "node.batch.frames", "pfi.stmt.ns",
+		"node transport (wire frames)", "wire.frames.sent",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("distributed -stats output missing %q:\n%s", want, out)

@@ -131,6 +131,7 @@ func TestRunInterpretsExampleProgram(t *testing.T) {
 	for _, want := range []string{
 		"WORKERS 4\n", "TOTAL 338350\n", "FORCE MEMBERS 3\n", "FORCE TOTAL 338350\n",
 		"interpreter activity", "forcesplits", "loop.iterations",
+		"router lanes", "lane.c1->c2.inline",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("pisces run -forces output missing %q:\n%s", want, got)

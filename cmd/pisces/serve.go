@@ -20,7 +20,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pfi"
-	"repro/internal/stats"
 )
 
 // Distributed mode.
@@ -219,10 +218,10 @@ func writeMeshTraceFile(path string, n *node.Node) error {
 // printTransportStats renders the node transport's frame counters.
 func printTransportStats(w io.Writer, n *node.Node) {
 	sent, recv := n.TransportCounts()
-	cs := stats.NewCounters()
-	cs.Counter("wire.frames.sent").Add(int64(sent))
-	cs.Counter("wire.frames.received").Add(int64(recv))
-	fmt.Fprint(w, cs.Table("node transport (wire frames)").String())
+	reg := obs.New()
+	reg.Counter("wire.frames.sent").Add(int64(sent))
+	reg.Counter("wire.frames.received").Add(int64(recv))
+	printMetricsTables(w, reg.Snapshot(), "node transport (wire frames)")
 }
 
 func splitAddrs(peers string) []string {
@@ -389,7 +388,7 @@ func runDistributed(nodes, clusters, slots int, forces, mainTT string, showStats
 
 // printRunStats renders the interpreter activity counters and the router
 // lane observability (enqueue/inline/backlog-drain counts and current depth
-// per (source, destination) cluster lane) through stats.Counters, so the
+// per (source, destination) cluster lane) through obs.Snapshot tables, so the
 // pisces run summary shows where cross-cluster traffic flowed.  The runtime
 // metric registry prints separately (printMetricsTables /
 // printMeshMetrics), because in distributed runs the per-node snapshot is
@@ -437,22 +436,22 @@ func printMeshMetrics(w io.Writer, n *node.Node) {
 	printMetricsTables(w, merged, "mesh runtime metrics: "+strings.Join(labels, ", "))
 }
 
-// routerStatsTable renders vm.RouterStats as a stats.Counters table; empty
+// routerStatsTable renders vm.RouterStats as an obs.Snapshot table; empty
 // on single-cluster machines (no lanes).
 func routerStatsTable(vm *pisces.VM) string {
 	lanes := vm.RouterStats()
 	if len(lanes) == 0 {
 		return ""
 	}
-	cs := stats.NewCounters()
+	reg := obs.New()
 	for _, l := range lanes {
 		p := fmt.Sprintf("lane.c%d->c%d.", l.Src, l.Dst)
-		cs.Counter(p + "inline").Add(l.Inline)
-		cs.Counter(p + "enqueued").Add(l.Enqueued)
-		cs.Counter(p + "drained").Add(l.Drained)
-		cs.Counter(p + "depth").Add(int64(l.Depth))
+		reg.Counter(p + "inline").Add(l.Inline)
+		reg.Counter(p + "enqueued").Add(l.Enqueued)
+		reg.Counter(p + "drained").Add(l.Drained)
+		reg.Counter(p + "depth").Add(int64(l.Depth))
 	}
-	return cs.Table("router lanes (messages)").String()
+	return reg.Snapshot().Tables("router lanes (messages)")[0].String()
 }
 
 // prefixWriter relays a child process's output line by line with a node

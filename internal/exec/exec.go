@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -382,12 +381,4 @@ func looksLikeReal(s string) bool {
 	}
 	_, err := strconv.ParseFloat(s, 64)
 	return err == nil
-}
-
-// TaskTypesSummary lists the registered tasktypes, for the configuration
-// environment's pre-run display.
-func (e *Environment) TaskTypesSummary() string {
-	names := e.vm.TaskTypes()
-	sort.Strings(names)
-	return "registered tasktypes: " + strings.Join(names, ", ")
 }

@@ -250,14 +250,6 @@ func TestReplAndTerminate(t *testing.T) {
 	}
 }
 
-func TestTaskTypesSummary(t *testing.T) {
-	env, _ := newEnv(t)
-	s := env.TaskTypesSummary()
-	if !strings.Contains(s, "echo") || !strings.Contains(s, "waiter") {
-		t.Fatalf("summary %q", s)
-	}
-}
-
 func lastLine(s string) string {
 	lines := strings.Split(strings.TrimSpace(s), "\n")
 	return lines[len(lines)-1]

@@ -124,18 +124,6 @@ func (m *Machine) PE(n int) *PE {
 	return m.pes[n-1]
 }
 
-// MMOSPEs returns the numbers of the PEs available to run PISCES user code
-// (those not reserved for Unix).
-func (m *Machine) MMOSPEs() []int {
-	var out []int
-	for _, pe := range m.pes {
-		if !pe.unix {
-			out = append(out, pe.id)
-		}
-	}
-	return out
-}
-
 // Shared returns the machine's shared memory.
 func (m *Machine) Shared() *SharedMemory { return m.shared }
 
@@ -176,8 +164,7 @@ type PE struct {
 	localUsed  int
 	localHigh  int
 
-	bound   atomic.Int32 // processes currently bound to this PE
-	running atomic.Int32 // processes currently holding the CPU (0 or 1)
+	bound atomic.Int32 // processes currently bound to this PE
 }
 
 func newPE(id, localBytes int, unix bool) *PE {
@@ -197,14 +184,12 @@ func (p *PE) IsUnix() bool { return p.unix }
 // Acquire blocks until the caller holds the PE's CPU.
 func (p *PE) Acquire() {
 	<-p.cpu
-	p.running.Store(1)
 }
 
 // TryAcquire attempts to take the CPU without blocking.
 func (p *PE) TryAcquire() bool {
 	select {
 	case <-p.cpu:
-		p.running.Store(1)
 		return true
 	default:
 		return false
@@ -213,16 +198,12 @@ func (p *PE) TryAcquire() bool {
 
 // Release gives the CPU back.  It must only be called by the holder.
 func (p *PE) Release() {
-	p.running.Store(0)
 	select {
 	case p.cpu <- struct{}{}:
 	default:
 		panic(fmt.Sprintf("flex: PE %d released while not held", p.id))
 	}
 }
-
-// Busy reports whether some process currently holds the CPU.
-func (p *PE) Busy() bool { return p.running.Load() == 1 }
 
 // Charge advances the PE's tick clock by n ticks of simulated work.
 func (p *PE) Charge(n int64) {
@@ -421,16 +402,6 @@ func (s *SharedMemory) AllocCommon(n int) error {
 	return nil
 }
 
-// FreeCommon releases n bytes of the SHARED COMMON region.
-func (s *SharedMemory) FreeCommon(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commonUsed -= n
-	if s.commonUsed < 0 {
-		s.commonUsed = 0
-	}
-}
-
 // Usage is a snapshot of shared-memory consumption by region, the quantity
 // reported in Section 13 of the paper.
 type Usage struct {
@@ -478,12 +449,4 @@ func (u Usage) TablePercent() float64 {
 		return 0
 	}
 	return 100 * float64(u.TableUsed) / float64(u.Total)
-}
-
-// HeapPercent returns message-heap usage as a percentage of total shared memory.
-func (u Usage) HeapPercent() float64 {
-	if u.Total == 0 {
-		return 0
-	}
-	return 100 * float64(u.HeapInUse) / float64(u.Total)
 }

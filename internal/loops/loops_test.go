@@ -103,12 +103,6 @@ func TestPreschedErrors(t *testing.T) {
 	}
 }
 
-func TestPreschedPosition(t *testing.T) {
-	if got := PreschedPosition(2, 5, 3); got != 17 {
-		t.Fatalf("PreschedPosition = %d, want 17", got)
-	}
-}
-
 // Property: PRESCHED over any member count partitions the iteration space —
 // every iteration appears exactly once across members, none are lost or
 // duplicated, and the same program text works for any force size (Section 7:
@@ -236,61 +230,6 @@ func TestSegments(t *testing.T) {
 	}
 	if _, err := Segments(5, 0, 0); err == nil {
 		t.Error("zero members accepted")
-	}
-}
-
-func TestBlock(t *testing.T) {
-	// 10 positions over 3 members: sizes 4,3,3.
-	bounds := [][2]int{{0, 4}, {4, 7}, {7, 10}}
-	for m, want := range bounds {
-		lo, hi, err := Block(10, m, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo != want[0] || hi != want[1] {
-			t.Errorf("Block(10,%d,3) = [%d,%d), want [%d,%d)", m, lo, hi, want[0], want[1])
-		}
-	}
-	if _, _, err := Block(10, 0, 0); err == nil {
-		t.Error("zero members accepted")
-	}
-	if _, _, err := Block(-1, 0, 1); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, _, err := Block(10, 2, 2); err == nil {
-		t.Error("member out of range accepted")
-	}
-}
-
-// Property: Block partitions [0,n) into contiguous, non-overlapping,
-// complete ranges whose sizes differ by at most one.
-func TestQuickBlockPartition(t *testing.T) {
-	f := func(nRaw uint16, membersRaw uint8) bool {
-		n := int(nRaw % 1000)
-		members := int(membersRaw%16) + 1
-		prevHi := 0
-		minSize, maxSize := 1<<30, -1
-		for m := 0; m < members; m++ {
-			lo, hi, err := Block(n, m, members)
-			if err != nil {
-				return false
-			}
-			if lo != prevHi || hi < lo {
-				return false
-			}
-			size := hi - lo
-			if size < minSize {
-				minSize = size
-			}
-			if size > maxSize {
-				maxSize = size
-			}
-			prevHi = hi
-		}
-		return prevHi == n && maxSize-minSize <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

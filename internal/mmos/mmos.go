@@ -59,7 +59,7 @@ type Kernel struct {
 
 	mu     sync.Mutex
 	nextID int
-	procs  map[int]*Proc
+	live   int // processes spawned and not yet exited
 	// cpus holds the per-PE CPU tokens used under a deterministic backend,
 	// where the PE's own channel token would block invisibly to the
 	// scheduler.  Keyed by PE number, created lazily.
@@ -79,7 +79,7 @@ func NewKernel(m *flex.Machine) *Kernel { return NewKernelOn(m, backend.Default(
 // cooperatively scheduled task and the per-PE CPU exclusivity is enforced
 // with backend semaphores instead of the PE's channel token.
 func NewKernelOn(m *flex.Machine, b backend.Backend) *Kernel {
-	return &Kernel{machine: m, backend: b, procs: make(map[int]*Proc), nextID: 1}
+	return &Kernel{machine: m, backend: b, nextID: 1}
 }
 
 // cpuToken is the exclusive-CPU interface a process acquires to run.  The
@@ -158,7 +158,7 @@ func (k *Kernel) Spawn(pe *flex.PE, name string, localBytes int, body func(*Proc
 	p := &Proc{kernel: k, id: id, name: name, pe: pe, done: make(chan struct{}),
 		exited: k.backend.NewGate(), localBytes: localBytes}
 	p.state.Store(int32(Ready))
-	k.procs[id] = p
+	k.live++
 	k.mu.Unlock()
 	p.cpu = k.cpuFor(pe)
 
@@ -186,7 +186,7 @@ func (p *Proc) exit() {
 	p.pe.UnbindProc()
 	p.kernel.exited.Add(1)
 	p.kernel.mu.Lock()
-	delete(p.kernel.procs, p.id)
+	p.kernel.live--
 	p.kernel.mu.Unlock()
 	p.doneMu.Do(func() { close(p.done) })
 	p.exited.Open()
@@ -280,7 +280,7 @@ type Stats struct {
 // Stats returns kernel counters.
 func (k *Kernel) Stats() Stats {
 	k.mu.Lock()
-	live := len(k.procs)
+	live := k.live
 	k.mu.Unlock()
 	return Stats{
 		Live:        live,
@@ -288,29 +288,4 @@ func (k *Kernel) Stats() Stats {
 		Exited:      k.exited.Load(),
 		CPUSwitches: k.cpuSwitches.Load(),
 	}
-}
-
-// Procs returns a snapshot of the live processes, for the execution
-// environment's displays.
-func (k *Kernel) Procs() []*Proc {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]*Proc, 0, len(k.procs))
-	for _, p := range k.procs {
-		out = append(out, p)
-	}
-	return out
-}
-
-// ProcsOnPE returns the live processes bound to PE number pe.
-func (k *Kernel) ProcsOnPE(pe int) []*Proc {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	var out []*Proc
-	for _, p := range k.procs {
-		if p.pe.ID() == pe {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -201,11 +201,8 @@ func TestProcsViews(t *testing.T) {
 	for _, p := range ps {
 		waitState(t, p, Blocked)
 	}
-	if got := len(k.Procs()); got != 3 {
+	if got := k.Stats().Live; got != 3 {
 		t.Fatalf("live procs = %d, want 3", got)
-	}
-	if got := len(k.ProcsOnPE(4)); got != 1 {
-		t.Fatalf("procs on PE 4 = %d, want 1", got)
 	}
 	if got := k.Machine().PE(4).BoundProcs(); got != 1 {
 		t.Fatalf("bound procs on PE 4 = %d, want 1", got)
@@ -214,8 +211,11 @@ func TestProcsViews(t *testing.T) {
 	for _, p := range ps {
 		<-p.Done()
 	}
-	if got := len(k.Procs()); got != 0 {
+	if got := k.Stats().Live; got != 0 {
 		t.Fatalf("live procs after exit = %d, want 0", got)
+	}
+	if got := k.Machine().PE(4).BoundProcs(); got != 0 {
+		t.Fatalf("bound procs on PE 4 after exit = %d, want 0", got)
 	}
 }
 

@@ -38,8 +38,11 @@ const (
 )
 
 // Registry is a named set of metrics plus a span buffer.  The zero value is
-// not ready; use New.  A nil *Registry is legal everywhere and behaves as a
-// permanently disabled registry, so callers can thread one unconditionally.
+// not ready; use New.  A nil *Registry acts as a permanently disabled, empty
+// registry in Enable, Has, Any, SetClock, AttachRecorder, Recorder, Now, Get,
+// Snapshot and the span methods (Span, SpanAt, Flow, Flows, Spans, Trace,
+// WriteChromeTrace).  Counter, Gauge and Histogram register a metric and
+// need a non-nil registry.
 type Registry struct {
 	mask  atomic.Uint32
 	clock atomic.Pointer[func() time.Time]
@@ -74,19 +77,6 @@ func (r *Registry) Enable(m Mask) {
 	for {
 		old := r.mask.Load()
 		if r.mask.CompareAndSwap(old, old|uint32(m)) {
-			return
-		}
-	}
-}
-
-// Disable turns the given instrumentation families off.
-func (r *Registry) Disable(m Mask) {
-	if r == nil {
-		return
-	}
-	for {
-		old := r.mask.Load()
-		if r.mask.CompareAndSwap(old, old&^uint32(m)) {
 			return
 		}
 	}
@@ -154,6 +144,21 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// Get returns the current value of the named counter, 0 if none is
+// registered.  It never registers.
+func (r *Registry) Get(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	c := r.counters[name]
+	r.mu.Unlock()
+	if c == nil {
+		return 0
+	}
+	return c.Load()
 }
 
 // Gauge returns the named gauge, registering it on first use.

@@ -133,6 +133,7 @@ func TestRegistryRace(t *testing.T) {
 				r.Histogram("h", "ns").Observe(int64(i))
 				if i%10 == 0 {
 					r.Snapshot()
+					r.Get("c0")
 				}
 			}
 		}(g)
@@ -145,6 +146,15 @@ func TestRegistryRace(t *testing.T) {
 	}
 	if total != 8*200 {
 		t.Fatalf("counter total = %d, want %d", total, 8*200)
+	}
+	if got := r.Get("c0"); got != 8*12 {
+		t.Fatalf("Get(c0) = %d, want %d", got, 8*12)
+	}
+	// Get is read-only and nil-safe: an unknown name reads 0 and stays
+	// unregistered.
+	var nilReg *Registry
+	if r.Get("missing") != 0 || nilReg.Get("c0") != 0 || len(r.Snapshot().Counters) != 17 {
+		t.Fatalf("Get registered a name or read a nil registry as non-zero")
 	}
 	for _, h := range s.Hists {
 		if h.Count != 8*200 {

@@ -50,7 +50,7 @@
 // an ACCEPT — TIMEDOUT(), NMSG('T'), and MSGI/MSGR/MSGS/MSGT/MSGW('T', i, j)
 // for the j-th argument of the i-th accepted message of type T.
 //
-// Interpreter activity is counted through a stats.Counters set (statements,
+// Interpreter activity is counted in a per-Program obs.Registry (statements,
 // initiates, sends, accepts, force splits, loop iterations, ...), exposed by
 // Program.Counters for reports and regression tracking.
 package pfi
@@ -66,7 +66,6 @@ import (
 	"repro/internal/msgcodec"
 	"repro/internal/obs"
 	"repro/internal/pfc"
-	"repro/internal/stats"
 )
 
 // Error is a compile- or run-time error with a source line number.
@@ -113,21 +112,21 @@ type compiledUnit struct {
 	weight int64 // estimated retained bytes, the UnitCache eviction unit
 }
 
-// counterSet holds resolved handles into the program's stats.Counters so hot
-// interpreter paths bump them without a map lookup.
+// counterSet holds resolved handles into the program's counter registry so
+// hot interpreter paths bump them with one atomic add and no map lookup.
 type counterSet struct {
-	tasksStarted   *stats.Counter
-	tasksCompleted *stats.Counter
-	statements     *stats.Counter
-	initiates      *stats.Counter
-	sends          *stats.Counter
-	accepts        *stats.Counter
-	acceptTimeouts *stats.Counter
-	forceSplits    *stats.Counter
-	barriers       *stats.Counter
-	criticals      *stats.Counter
-	loopIterations *stats.Counter
-	prints         *stats.Counter
+	tasksStarted   *obs.Counter
+	tasksCompleted *obs.Counter
+	statements     *obs.Counter
+	initiates      *obs.Counter
+	sends          *obs.Counter
+	accepts        *obs.Counter
+	acceptTimeouts *obs.Counter
+	forceSplits    *obs.Counter
+	barriers       *obs.Counter
+	criticals      *obs.Counter
+	loopIterations *obs.Counter
+	prints         *obs.Counter
 }
 
 // Program is a compiled Pisces Fortran program, ready to register its
@@ -137,7 +136,7 @@ type Program struct {
 	Source *pfc.Program
 
 	unit     *compiledUnit
-	counters *stats.Counters
+	counters *obs.Registry
 	cs       counterSet
 
 	mu     sync.Mutex
@@ -229,7 +228,7 @@ func newProgram(u *compiledUnit) *Program {
 	p := &Program{
 		Source:   u.source,
 		unit:     u,
-		counters: stats.NewCounters(),
+		counters: obs.New(),
 	}
 	p.cs = counterSet{
 		tasksStarted:   p.counters.Counter("tasks.started"),
@@ -258,12 +257,12 @@ func (p *Program) TaskTypes() []string {
 	return out
 }
 
-// Counters returns the interpreter's activity counters.
-func (p *Program) Counters() *stats.Counters { return p.counters }
+// Counters returns the registry holding the interpreter's activity counters.
+func (p *Program) Counters() *obs.Registry { return p.counters }
 
 // StatsTable renders the interpreter counters as a report table.
 func (p *Program) StatsTable() string {
-	return p.counters.Table("interpreter activity").String()
+	return p.counters.Snapshot().Tables("interpreter activity")[0].String()
 }
 
 // Err returns the first run-time error any interpreted task hit, if any.

@@ -62,11 +62,6 @@ func (r Rect) Contains(other Rect) bool {
 		other.Col1 >= r.Col1 && other.Col2 <= r.Col2
 }
 
-// ContainsPoint reports whether element (row, col) lies inside r.
-func (r Rect) ContainsPoint(row, col int) bool {
-	return r.Valid() && row >= r.Row1 && row <= r.Row2 && col >= r.Col1 && col <= r.Col2
-}
-
 // Intersect returns the overlap of r and other and whether it is non-empty.
 // The file controller uses this to "manage any parallel read/write requests
 // for overlapping sections of an array" (Section 8).
@@ -78,12 +73,6 @@ func (r Rect) Intersect(other Rect) (Rect, bool) {
 		Col2: min(r.Col2, other.Col2),
 	}
 	return out, out.Valid()
-}
-
-// Overlaps reports whether r and other share at least one element.
-func (r Rect) Overlaps(other Rect) bool {
-	_, ok := r.Intersect(other)
-	return ok
 }
 
 // Shrink derives a sub-window: the result must lie entirely within r
@@ -153,24 +142,6 @@ func (r Rect) ColBands(n int) ([]Rect, error) {
 		}
 		out = append(out, Rect{Row1: r.Row1, Row2: r.Row2, Col1: col, Col2: col + w - 1})
 		col += w
-	}
-	return out, nil
-}
-
-// Tile splits r into a grid of pr x pc tiles (pr row bands, each split into
-// pc column bands), in row-major tile order.
-func (r Rect) Tile(pr, pc int) ([]Rect, error) {
-	bands, err := r.RowBands(pr)
-	if err != nil {
-		return nil, err
-	}
-	var out []Rect
-	for _, band := range bands {
-		cols, err := band.ColBands(pc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cols...)
 	}
 	return out, nil
 }

@@ -142,22 +142,6 @@ type Result struct {
 	PerWorker []int
 }
 
-// RunSerial executes the graph on the calling goroutine in a topological
-// order — the sequential baseline.
-func (g *Graph) RunSerial() (*Result, error) {
-	topo, err := g.validate()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{PerWorker: make([]int, 1)}
-	for _, name := range topo {
-		g.unit(name).Work()
-		res.Completed = append(res.Completed, name)
-		res.PerWorker[0]++
-	}
-	return res, nil
-}
-
 func (g *Graph) unit(name string) *Unit {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -48,22 +48,6 @@ func indexOf(ss []string, want string) int {
 	return -1
 }
 
-func TestRunSerialRespectsDependencies(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	g := diamond(&order, &mu)
-	res, err := g.RunSerial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Completed) != 4 || g.Len() != 4 {
-		t.Fatalf("completed %v", res.Completed)
-	}
-	if indexOf(order, "a") != 0 || indexOf(order, "d") != 3 {
-		t.Fatalf("serial order %v violates dependencies", order)
-	}
-}
-
 func TestRunParallelRespectsDependencies(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
@@ -134,7 +118,7 @@ func TestValidationErrors(t *testing.T) {
 	g := NewGraph()
 	g.Call("a", 1, func() {})
 	g.Depends("a", "ghost")
-	if _, err := g.RunSerial(); err == nil {
+	if _, _, err := g.RunVirtual(1); err == nil {
 		t.Error("undefined dependency accepted")
 	}
 
@@ -142,7 +126,7 @@ func TestValidationErrors(t *testing.T) {
 	g2 := NewGraph()
 	g2.Depends("x", "y")
 	g2.Call("y", 1, func() {})
-	if _, err := g2.RunSerial(); err == nil {
+	if _, _, err := g2.RunVirtual(1); err == nil {
 		t.Error("unit without a body accepted")
 	}
 
@@ -150,7 +134,7 @@ func TestValidationErrors(t *testing.T) {
 	g3 := NewGraph()
 	g3.Call("a", 1, func() {}).Depends("a", "b")
 	g3.Call("b", 1, func() {}).Depends("b", "a")
-	if _, err := g3.RunSerial(); err != ErrCycle {
+	if _, _, err := g3.RunVirtual(1); err != ErrCycle {
 		t.Errorf("cycle: got %v", err)
 	}
 
@@ -228,14 +212,18 @@ func TestRunVirtualDiamond(t *testing.T) {
 	if makespan != 30 {
 		t.Fatalf("makespan = %d, want 30", makespan)
 	}
-	// One worker: fully serial.
+	// One worker: fully serial, bodies still run in dependency order.
+	order = nil
 	g2 := diamond(&order, &mu)
-	_, serial, err := g2.RunVirtual(1)
+	res, serial, err := g2.RunVirtual(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial != 40 {
 		t.Fatalf("serial makespan = %d, want 40", serial)
+	}
+	if len(res.Completed) != 4 || indexOf(order, "a") != 0 || indexOf(order, "d") != 3 {
+		t.Fatalf("serial order %v (completed %v) violates dependencies", order, res.Completed)
 	}
 	if _, _, err := g2.RunVirtual(0); err == nil {
 		t.Fatal("zero workers accepted")

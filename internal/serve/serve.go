@@ -338,9 +338,14 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 	m.reapLocked()
 	m.mu.Unlock()
 
+	// The queue-depth gauge counts a submission before a worker can take it,
+	// so the worker's decrement never runs ahead and the gauge settles at
+	// exactly zero once the queue empties.
+	m.mQueued.Add(1)
 	select {
 	case m.queue <- s:
 	default:
+		m.mQueued.Add(-1)
 		m.mu.Lock()
 		delete(m.sessions, s.id)
 		m.order = m.order[:len(m.order)-1]
@@ -349,7 +354,6 @@ func (m *Manager) Submit(req Request) (*Session, error) {
 		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(m.queue))
 	}
 	m.mSubmitted.Inc()
-	m.mQueued.Set(int64(len(m.queue)))
 	m.logJSON("submitted", map[string]any{"id": s.id, "tenant": s.tenant})
 	return s, nil
 }
@@ -441,7 +445,7 @@ func (m *Manager) worker() {
 // boot an isolated VM under the session's limits, run, and reap.
 func (m *Manager) runSession(s *Session) {
 	m.mActive.Add(1)
-	m.mQueued.Set(int64(len(m.queue)))
+	m.mQueued.Add(-1)
 	defer m.mActive.Add(-1)
 
 	start := time.Now()

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 const helloSrc = `TASKTYPE MAIN
@@ -381,5 +385,70 @@ func TestHTTPAdmissionStatusCodes(t *testing.T) {
 	drainAll(t, m)
 	if resp, _ := postProgram(t, srv.URL, SubmitRequest{Source: helloSrc}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining POST = %d; want 503", resp.StatusCode)
+	}
+}
+
+// TestDrainLeavesNoLeaks runs a batch of sessions, one of them killed on
+// quota, and drains the manager; afterwards the process must be back where
+// it started: goroutines at their baseline with no worker or VM goroutine
+// left, and the active-session and queue-depth gauges at zero.
+func TestDrainLeavesNoLeaks(t *testing.T) {
+	_, corpus := corpusPrograms(t)
+	base := runtime.NumGoroutine()
+
+	m := New(Config{MaxActive: 2, QueueDepth: 16})
+	var sessions []*Session
+	for i := 0; i < 6; i++ {
+		s, err := m.Submit(Request{Source: helloSrc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	// fanin initiates six workers; a MaxTasks of 3 kills it on quota.
+	killed, err := m.Submit(Request{Source: corpus["fanin.pf"], Limits: core.Limits{MaxTasks: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainAll(t, m)
+
+	for _, s := range sessions {
+		if st, serr := s.State(); st != StateDone {
+			t.Fatalf("session %s drained into state %q (err=%v); want done", s.ID(), st, serr)
+		}
+	}
+	if st, serr := killed.State(); st != StateFailed || !strings.Contains(fmt.Sprint(serr), "tenant limit exceeded") {
+		t.Fatalf("quota session = %q (err=%v); want failed on the task limit", st, serr)
+	}
+	snap := m.Snapshot()
+	values := map[string]int64{}
+	for _, c := range snap.Counters {
+		values[c.Name] = c.Value
+	}
+	for _, g := range snap.Gauges {
+		values[g.Name] = g.Value
+	}
+	if values["serve.sessions.quota"] != 1 || values["serve.sessions.completed"] != 6 {
+		t.Fatalf("session counters after drain: %v", values)
+	}
+	for _, gauge := range []string{"serve.sessions.active", "serve.queue.depth"} {
+		if v, ok := values[gauge]; !ok || v != 0 {
+			t.Errorf("gauge %s = %d (registered %v) after drain; want 0", gauge, v, ok)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		left := strings.Contains(stacks, "(*Manager).worker") || strings.Contains(stacks, "repro/internal/core.")
+		if n <= base && !left {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after drain: %d goroutines (baseline %d), worker or VM goroutines left: %v\n%s", n, base, left, stacks)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical and table-rendering helpers
 // used by the experiments harness (cmd/experiments) to report the paper's
-// tables and figures: means, standard deviations, speedups, and fixed-width
-// text tables.
+// tables and figures: means, speedups, percentages, and fixed-width text
+// tables.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -20,21 +19,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (0 for fewer than two
-// samples).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
 }
 
 // Min returns the smallest value (0 for an empty slice).
@@ -72,15 +56,6 @@ func Speedup(serial, parallel float64) float64 {
 		return 0
 	}
 	return serial / parallel
-}
-
-// Efficiency returns Speedup/workers as a fraction in [0, ...]; it returns 0
-// when workers is 0.
-func Efficiency(serial, parallel float64, workers int) float64 {
-	if workers == 0 {
-		return 0
-	}
-	return Speedup(serial, parallel) / float64(workers)
 }
 
 // Percent returns 100*part/whole (0 when whole is 0).
@@ -136,9 +111,6 @@ func (t *Table) AddRowf(cells ...any) *Table {
 	}
 	return t.AddRow(row...)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {
